@@ -12,8 +12,11 @@ build:
 # guard pattern on exported obs and telemetry methods; guardloop
 # requires every potentially unbounded loop in the search and fixpoint
 # engines (ambig, digraph, glr, treecount) to hit a guard.Budget
-# checkpoint or carry an explicit //guardloop:ok waiver.
+# checkpoint or carry an explicit //guardloop:ok waiver.  First, any
+# Go file gofmt would rewrite fails the target, named.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files are not gofmt-clean:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build -o bin/nilrecorder ./internal/analyzers/nilrecorder
 	$(GO) vet -vettool=$(CURDIR)/bin/nilrecorder ./...

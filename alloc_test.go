@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/export"
 	"repro/internal/frozen"
 	"repro/internal/grammar"
 	"repro/internal/grammars"
@@ -102,6 +103,31 @@ func TestFrozenDecodeAllocBound(t *testing.T) {
 	t.Logf("frozen.Decode(golden): %.0f allocs (bound %d)", got, bound)
 	if got > bound {
 		t.Errorf("frozen.Decode allocates %.0f times, bound %d — the zero-copy load has regressed", got, bound)
+	}
+}
+
+// TestBodyEncodeAllocBound pins the one-pass response encoder: lalrd
+// encodes each analyze body into a reused scratch buffer and keeps one
+// exact-size copy, so a body costs one output allocation, amortised —
+// none per state, string or map key (json.MarshalIndent makes
+// thousands per body on csub).
+func TestBodyEncodeAllocBound(t *testing.T) {
+	g := grammars.MustLoad("csub")
+	res, err := Analyze(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := export.Build(res.Automaton, res.Lookahead, res.Tables, res.DP, MethodDeRemerPennello.String())
+	var scratch []byte
+	const bound = 1
+	got := testing.AllocsPerRun(20, func() {
+		scratch = rep.AppendJSON(scratch[:0], 1)
+		body := make([]byte, len(scratch))
+		copy(body, scratch)
+	})
+	t.Logf("body encode(csub): %.0f allocs for %d bytes (bound %d)", got, len(scratch), bound)
+	if got > bound {
+		t.Errorf("body encode allocates %.0f times per body, bound %d — the one-pass encoder has regressed", got, bound)
 	}
 }
 

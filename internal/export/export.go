@@ -6,16 +6,14 @@
 // The encoding is byte-deterministic: Build iterates only ordered
 // structures (state and production slices in construction order,
 // bit-set elements in ascending terminal order) and the one map field
-// (StateInfo.Transitions) is serialized by encoding/json in sorted key
-// order.  Analyzing the same grammar with the same method therefore
-// always yields byte-identical JSON — the invariant the lalrd cache
+// (StateInfo.Transitions) is written in sorted key order.  Analyzing
+// the same grammar with the same method therefore always yields
+// byte-identical JSON — the invariant the lalrd cache
 // relies on to treat response bodies as content-addressed values, and
 // the one the golden test pins.
 package export
 
 import (
-	"encoding/json"
-
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/grammar"
@@ -153,10 +151,11 @@ func Build(a *lr0.Automaton, sets [][]bitset.Set, t *lalrtable.Tables, dp *core.
 	return r
 }
 
-// JSON marshals the report with indentation.  The output is
+// JSON renders the report as AppendJSON does at depth 0, which is
+// json.MarshalIndent(r, "", "  ") byte for byte.  The output is
 // byte-deterministic for a given grammar and method (see the package
 // comment); cached copies of a report body compare equal to a fresh
-// recomputation.
+// recomputation.  The error is always nil.
 func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	return r.AppendJSON(nil, 0), nil
 }

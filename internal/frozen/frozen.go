@@ -19,7 +19,9 @@
 // the ACTION Base/Next/Check triple, the GOTO triple — plus the content
 // fingerprint the table was computed from, the state count, and an
 // opaque body (lalrd stores the canonical AnalyzeResponse JSON there,
-// so a frozen hit can answer a request without re-analysis).
+// so a frozen hit can answer a request without re-analysis).  Table
+// sections may be empty with a state count of 0: lalrd writes such
+// body-only records, since serving reads only the body.
 //
 // Decode never panics on hostile input: truncated, corrupted or
 // CRC-mismatched bytes yield a *DecodeError matching the ErrCorrupt

@@ -27,7 +27,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strings"
 	"time"
@@ -119,20 +119,28 @@ type Recorder struct {
 	roots    []*Span
 	cur      *Span // innermost open span, or nil
 	counters map[string]int64
+	alloc    [1]metrics.Sample // totalAlloc's reused sample
 }
 
 // New returns an empty Recorder.
 func New() *Recorder {
-	return &Recorder{counters: make(map[string]int64)}
+	r := &Recorder{counters: make(map[string]int64)}
+	r.alloc[0].Name = allocsMetric
+	return r
 }
 
-// totalAlloc samples cumulative heap allocation.  ReadMemStats is a
-// stop-the-world operation; it runs only at span boundaries, which are
-// per-phase, not per-item.
-func totalAlloc() uint64 {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.TotalAlloc
+// allocsMetric is cumulative heap allocation, the counter
+// runtime.MemStats reports as TotalAlloc.
+const allocsMetric = "/gc/heap/allocs:bytes"
+
+// totalAlloc samples cumulative heap allocation at a span boundary.
+// runtime/metrics reads it without stopping the world, which
+// runtime.ReadMemStats would do at every boundary of every concurrent
+// request.  The sample lives in the Recorder, which is single-goroutine,
+// so a reading allocates nothing.
+func (r *Recorder) totalAlloc() uint64 {
+	metrics.Read(r.alloc[:])
+	return r.alloc[0].Value.Uint64()
 }
 
 // Start opens a span named name nested under the currently open span.
@@ -148,7 +156,7 @@ func (r *Recorder) Start(name string) *Span {
 		r.roots = append(r.roots, s)
 	}
 	r.cur = s
-	s.allocAt = totalAlloc()
+	s.allocAt = r.totalAlloc()
 	s.start = time.Now() // last: exclude our own bookkeeping from the span
 	return s
 }
@@ -162,7 +170,7 @@ func (s *Span) End() {
 		return
 	}
 	wall := time.Since(s.start)
-	alloc := int64(totalAlloc() - s.allocAt)
+	alloc := int64(s.rec.totalAlloc() - s.allocAt)
 	for s.rec.cur != nil && s.rec.cur != s {
 		s.rec.cur.End()
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -259,5 +260,32 @@ func TestFormatHelpers(t *testing.T) {
 	}
 	if got := fmtBytes(32 * 1024 * 1024); got != "32MB" {
 		t.Errorf("fmtBytes(32M) = %q", got)
+	}
+}
+
+// TestTotalAllocMatchesMemStats: the runtime/metrics counter spans are
+// sampled from is the one runtime.MemStats reports as TotalAlloc.  Two
+// readings bracket MemStats; at a quiescent point, when nothing else
+// allocated between them, all three agree exactly.  A reading
+// allocates nothing.
+func TestTotalAllocMatchesMemStats(t *testing.T) {
+	r := New()
+	var m runtime.MemStats
+	agreed := false
+	for attempt := 0; attempt < 20 && !agreed; attempt++ {
+		runtime.GC()
+		before := r.totalAlloc()
+		runtime.ReadMemStats(&m)
+		after := r.totalAlloc()
+		if before > m.TotalAlloc || m.TotalAlloc > after {
+			t.Fatalf("MemStats.TotalAlloc %d outside the bracketing readings [%d, %d]", m.TotalAlloc, before, after)
+		}
+		agreed = before == after
+	}
+	if !agreed {
+		t.Error("no quiescent reading in 20 attempts: totalAlloc and MemStats.TotalAlloc never agreed")
+	}
+	if n := testing.AllocsPerRun(100, func() { r.totalAlloc() }); n != 0 {
+		t.Errorf("totalAlloc allocates %.0f times per reading, want 0", n)
 	}
 }

@@ -191,7 +191,7 @@ func computeWith(a *lr0.Automaton, workers int, rec *obs.Recorder, bud *guard.Bu
 	readoffState := func(q int, cl *closer) {
 		s := a.States[q]
 		base := redBase[q]
-		sets[q] = redSets[base:redBase[q+1] : redBase[q+1]]
+		sets[q] = redSets[base:redBase[q+1]:redBase[q+1]]
 		seeds := make([]bitset.Set, len(s.Kernel))
 		for ord := range s.Kernel {
 			seeds[ord] = la[kernelBase[q]+ord]

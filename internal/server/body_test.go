@@ -1,0 +1,151 @@
+package server
+
+import (
+	"bytes"
+	"net/http"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro"
+	"repro/internal/cache"
+	"repro/internal/export"
+	"repro/internal/frozen"
+	"repro/internal/grammars"
+	"repro/internal/packed"
+)
+
+// libraryReport analyzes src the way the server does, straight from
+// the library.
+func libraryReport(t *testing.T, filename, src string, method repro.Method) *export.Report {
+	t.Helper()
+	g, err := repro.LoadGrammar(filename, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := repro.Analyze(g, repro.Options{Method: method})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return export.Build(res.Automaton, res.Lookahead, res.Tables, res.DP, method.String())
+}
+
+// TestAnalyzeBodyMatchesMarshal holds the one-pass analyze body to its
+// encoding/json oracle on every corpus grammar.
+func TestAnalyzeBodyMatchesMarshal(t *testing.T) {
+	for _, e := range grammars.All() {
+		for _, m := range []repro.Method{repro.MethodDeRemerPennello, repro.MethodSLR} {
+			rep := libraryReport(t, e.Name+".y", e.Src, m)
+			fp := cache.Fingerprint(e.Src, m.String())
+			want, err := marshalBody(AnalyzeResponse{
+				Schema: Schema, Kind: "analyze", Fingerprint: fp, Method: m.String(), Report: rep,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := analyzeBody(fp, m.String(), rep); !bytes.Equal(got, want) {
+				t.Fatalf("%s/%s: analyzeBody differs from marshalBody (%d vs %d bytes)", e.Name, m, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestMissFreezesBodyOnlyRecord: a cold miss freezes a table-less FRZ1
+// record — NumStates 0, empty table sections — that frozen.Decode
+// accepts and whose body is the served body.
+func TestMissFreezesBodyOnlyRecord(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	ts := newTestServer(t, Config{CacheBytes: 1 << 20, StoreDir: dir})
+	resp, body := post(t, ts, "/v1/analyze", AnalyzeRequest{Grammar: danglingElse})
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Repro-Cache") != "miss" {
+		t.Fatalf("status %d, X-Repro-Cache %q", resp.StatusCode, resp.Header.Get("X-Repro-Cache"))
+	}
+	fp := cache.Fingerprint(danglingElse, repro.MethodDeRemerPennello.String())
+	raw, err := os.ReadFile(filepath.Join(dir, fp+".frz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft, err := frozen.Decode(raw)
+	if err != nil {
+		t.Fatalf("server-written record does not decode: %v", err)
+	}
+	if ft.Fingerprint != fp || ft.NumStates != 0 || ft.Base.Len() != 0 || ft.Next.Len() != 0 || ft.GotoNext.Len() != 0 {
+		t.Errorf("record = fp %q, %d states, base/next/goto %d/%d/%d; want fp %q and no tables",
+			ft.Fingerprint, ft.NumStates, ft.Base.Len(), ft.Next.Len(), ft.GotoNext.Len(), fp)
+	}
+	if !bytes.Equal(ft.Body, body) {
+		t.Error("frozen body differs from the served body")
+	}
+}
+
+// TestTablesCarryingRecordServesFrozen: a store written before records
+// went body-only — packed tables and body, like testdata/golden.frz —
+// still answers X-Repro-Cache: frozen with the identical body.
+func TestTablesCarryingRecordServesFrozen(t *testing.T) {
+	_, want := post(t, newTestServer(t, Config{}), "/v1/analyze", AnalyzeRequest{Grammar: danglingElse})
+
+	g, err := repro.LoadGrammar("grammar.y", danglingElse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := repro.Analyze(g, repro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := packed.Pack(res.Tables)
+	next := make([]int32, len(p.Next))
+	for i, act := range p.Next {
+		next[i] = int32(act)
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := frozen.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	td := &frozen.TableData{
+		NumStates: res.Tables.NumStates, Fingerprint: cache.Fingerprint(danglingElse, repro.MethodDeRemerPennello.String()),
+		DefaultReduce: p.DefaultReduce, Base: p.Base, Next: next, Check: p.Check,
+		GotoBase: p.GotoBase, GotoNext: p.GotoNext, GotoCheck: p.GotoCheck,
+		Body: want,
+	}
+	if err := st.Save(td); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, got := post(t, newTestServer(t, Config{CacheBytes: 1 << 20, StoreDir: dir}), "/v1/analyze", AnalyzeRequest{Grammar: danglingElse})
+	if out := resp.Header.Get("X-Repro-Cache"); out != "frozen" {
+		t.Fatalf("X-Repro-Cache = %q, want frozen", out)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("body served from a tables-carrying record differs from the computed body")
+	}
+}
+
+// TestMissTraceNamesServerSpans: a miss's trace carries the server's
+// own layers after the pipeline phases — the report build, the body
+// encode and, with a store, the freeze plus store put.
+func TestMissTraceNamesServerSpans(t *testing.T) {
+	for _, c := range []struct {
+		storeDir string
+		want     []string
+	}{
+		{"", []string{"export-build", "body-encode"}},
+		{filepath.Join(t.TempDir(), "store"), []string{"export-build", "body-encode", "frozen-save"}},
+	} {
+		ts := newTestServer(t, Config{CacheBytes: 1 << 20, StoreDir: c.storeDir})
+		resp, _ := post(t, ts, "/v1/analyze", AnalyzeRequest{Grammar: danglingElse})
+		tr := fetchTrace(t, ts, resp.Header.Get("X-Repro-Request-Id"))
+		if len(tr.Entries) != 1 {
+			t.Fatalf("entries = %d, want 1", len(tr.Entries))
+		}
+		phases := tr.Entries[0].Phases
+		if len(phases) <= len(c.want) {
+			t.Fatalf("store %q: %d root spans, want the pipeline's plus %v", c.storeDir, len(phases), c.want)
+		}
+		for i, name := range c.want {
+			if got := phases[len(phases)-len(c.want)+i].Name; got != name {
+				t.Errorf("store %q: server span %d = %q, want %q", c.storeDir, i, got, name)
+			}
+		}
+	}
+}

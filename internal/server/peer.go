@@ -63,9 +63,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, code, ReadyzResponse{Schema: Schema, Kind: "readyz", Status: status})
 }
 
-// maxPeerTableBytes bounds an offered frozen table.  Tables are packed
-// row-displacement arrays plus one canonical JSON body; the largest
-// corpus grammar freezes well under a megabyte.
+// maxPeerTableBytes bounds an offered frozen record.  A record is one
+// canonical JSON body, plus packed row-displacement arrays when an
+// older node froze it; the largest corpus grammar freezes well under a
+// megabyte.
 const maxPeerTableBytes = 64 << 20
 
 // handlePeerGet serves GET /v1/peer/table/{fp}: the raw FRZ1 bytes for

@@ -51,6 +51,23 @@ type AnalyzeResponse struct {
 	Report      *export.Report `json:"report"`
 }
 
+// appendAnalyzeResponse appends the canonical /v1/analyze success body:
+// json.MarshalIndent of an AnalyzeResponse, byte for byte, plus the
+// trailing newline marshalBody adds.  It mirrors the struct's tags by
+// hand (export.Report.AppendJSON writes the report); the server tests
+// hold it to the encoding/json oracle.
+func appendAnalyzeResponse(dst []byte, fp, method string, rep *export.Report) []byte {
+	dst = append(dst, "{\n  \"schema\": "...)
+	dst = export.AppendString(dst, Schema)
+	dst = append(dst, ",\n  \"kind\": \"analyze\",\n  \"fingerprint\": "...)
+	dst = export.AppendString(dst, fp)
+	dst = append(dst, ",\n  \"method\": "...)
+	dst = export.AppendString(dst, method)
+	dst = append(dst, ",\n  \"report\": "...)
+	dst = rep.AppendJSON(dst, 1)
+	return append(dst, "\n}\n"...)
+}
+
 // LintRequest is the POST /v1/lint body.  The option fields mirror
 // grammarlint's flags.
 type LintRequest struct {

@@ -39,7 +39,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/lint"
 	"repro/internal/obs"
-	"repro/internal/packed"
 	"repro/internal/telemetry"
 )
 
@@ -61,16 +60,16 @@ type Config struct {
 	// RequestTimeout bounds each request's pipeline wall clock (0 =
 	// none).  A request's timeout_ms may tighten it.
 	RequestTimeout time.Duration
-	// StoreDir, when non-empty, enables the on-disk frozen-table store
-	// (internal/frozen): analyze misses freeze their packed tables and
-	// canonical body under the content fingerprint, and later requests
+	// StoreDir, when non-empty, enables the on-disk frozen store
+	// (internal/frozen): analyze misses freeze their canonical response
+	// body under the content fingerprint, and later requests
 	// for the same fingerprint — including after a restart — are served
 	// from the store without re-analysis (X-Repro-Cache: frozen).
 	StoreDir string
 	// Cluster, when non-nil, is the fleet peer layer (internal/cluster):
 	// an analyze miss asks the fingerprint's ring owner for its frozen
 	// bytes before computing locally (X-Repro-Cache: peer), computed
-	// tables are offered to their owner, and /v1/peer/table/{fp} serves
+	// records are offered to their owner, and /v1/peer/table/{fp} serves
 	// this node's store to siblings.  The Server takes ownership:
 	// Close() closes it.
 	Cluster *cluster.Cluster
@@ -372,6 +371,23 @@ func marshalBody(v any) ([]byte, error) {
 	return append(body, '\n'), nil
 }
 
+// bodyBufs holds the scratch buffers analyze bodies are encoded into.
+// A body is tens to hundreds of KiB; growing a fresh buffer for each
+// one costs more allocation than the body itself.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// analyzeBody renders the canonical /v1/analyze success body — the
+// bytes marshalBody gives for the same AnalyzeResponse — in one pass
+// over a pooled scratch buffer, and returns an exact-size copy.
+func analyzeBody(fp, method string, rep *export.Report) []byte {
+	buf := bodyBufs.Get().(*[]byte)
+	*buf = appendAnalyzeResponse((*buf)[:0], fp, method, rep)
+	body := make([]byte, len(*buf))
+	copy(body, *buf)
+	bodyBufs.Put(buf)
+	return body
+}
+
 // handleAnalyze serves POST /v1/analyze.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !s.admitInflight(w, r) {
@@ -506,30 +522,34 @@ func (s *Server) analyzeOne(ctx context.Context, src, filename string, method re
 			return nil, &grammarError{err}
 		}
 		rec := repro.NewRecorder()
+		defer func() { phases = s.recordPipeline(rec) }()
 		res, err := repro.Analyze(g, repro.Options{
 			Method:   method,
 			Recorder: rec,
 			Context:  cctx,
 			Limits:   s.admit(limits),
 		})
-		phases = s.recordPipeline(rec)
 		if err != nil {
 			return nil, err
 		}
+		sp := rec.Start("export-build")
 		rep := export.Build(res.Automaton, res.Lookahead, res.Tables, res.DP, method.String())
-		body, err := marshalBody(AnalyzeResponse{
-			Schema: Schema, Kind: "analyze",
-			Fingerprint: fp, Method: method.String(), Report: rep,
-		})
-		if err == nil && (s.store != nil || s.cluster != nil) {
-			if raw := s.saveFrozen(fp, res.Tables, body); raw != nil && s.cluster != nil {
-				// Push the fresh table to its ring owner so owners converge
-				// to hold their key range; later misses anywhere in the
-				// fleet then peer-fill instead of recomputing.
+		sp.End()
+		sp = rec.Start("body-encode")
+		body := analyzeBody(fp, method.String(), rep)
+		sp.End()
+		if s.store != nil || s.cluster != nil {
+			sp = rec.Start("frozen-save")
+			raw := s.saveFrozen(fp, body)
+			sp.End()
+			if s.cluster != nil {
+				// Push the fresh record to its ring owner so owners
+				// converge to hold their key range; later misses anywhere
+				// in the fleet then peer-fill instead of recomputing.
 				s.cluster.Offer(fp, raw)
 			}
 		}
-		return body, err
+		return body, nil
 	})
 	if err == nil && out == cache.Miss {
 		// The closure ran but analyzed nothing; report where the body
@@ -550,30 +570,16 @@ func (s *Server) analyzeOne(ctx context.Context, src, filename string, method re
 	return body, out, err
 }
 
-// saveFrozen freezes a computed analysis — the packed row-displacement
-// tables plus the canonical response body — into the store, best
-// effort: serving never fails because a freeze did.  It returns the
-// encoded FRZ1 bytes (also when the local save failed, and when there
-// is no local store at all) so the caller can offer them to the
-// fingerprint's ring owner without a second encode.
-func (s *Server) saveFrozen(fp string, tables *repro.Tables, body []byte) []byte {
-	p := packed.Pack(tables)
-	next := make([]int32, len(p.Next))
-	for i, act := range p.Next {
-		next[i] = int32(act)
-	}
-	raw := frozen.Freeze(&frozen.TableData{
-		NumStates:     tables.NumStates,
-		Fingerprint:   fp,
-		DefaultReduce: p.DefaultReduce,
-		Base:          p.Base,
-		Next:          next,
-		Check:         p.Check,
-		GotoBase:      p.GotoBase,
-		GotoNext:      p.GotoNext,
-		GotoCheck:     p.GotoCheck,
-		Body:          body,
-	})
+// saveFrozen freezes a computed analysis's canonical response body
+// into the store, best effort: serving never fails because a freeze
+// did.  The record is body-only — FRZ1 with empty table sections and
+// NumStates 0 — because frozen and peer hits answer with the body and
+// read nothing else.  It returns the encoded FRZ1 bytes (also when
+// the local save failed, and when there is no local store at all) so
+// the caller can offer them to the fingerprint's ring owner without a
+// second encode.
+func (s *Server) saveFrozen(fp string, body []byte) []byte {
+	raw := frozen.Freeze(&frozen.TableData{Fingerprint: fp, Body: body})
 	if s.store != nil {
 		if err := s.store.PutBytes(fp, raw); err != nil {
 			s.addCounter("frozen_errors", 1)
