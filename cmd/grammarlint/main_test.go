@@ -63,6 +63,9 @@ func TestGolden(t *testing.T) {
 		{"ambig-pair.sarif", []string{"-corpus", "dangling-else,not-lalr", "-format", "sarif"}},
 		// Starving the walk of pair configurations forces GL042.
 		{"ambig-undecided.txt", []string{"-corpus", "dangling-else", "-format", "text", "-ambig-pairs", "1"}},
+		// The expensive walks: lua's GL040 witness and the GL042
+		// context-bound verdicts of lua, csub and pascal.
+		{"ambig-heavy.txt", []string{"-corpus", "lua,csub,pascal", "-format", "text"}},
 	}
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {
