@@ -86,11 +86,6 @@ guard-smoke:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# Ambiguity smoke (DESIGN.md § 13): the prover must reach both proven
-# verdicts on the canonical pair — dangling-else is a true ambiguity
-# (GL040, witness confirmed by both oracles), not-lalr is an LALR(1)
-# inadequacy only (GL041, search space exhausted) — and the report must
-# be byte-identical serial vs parallel.
 # Fleet smoke (DESIGN.md § 14): a 3-node lalrd fleet on localhost
 # replays the corpus under concurrent load, one node is killed
 # mid-replay, and the run passes only with zero client-visible errors,
@@ -99,6 +94,12 @@ bench:
 cluster-smoke:
 	$(GO) run ./cmd/lalrd -cluster-smoke
 
+# Ambiguity smoke (DESIGN.md § 13): the prover must reach both proven
+# verdicts on the canonical pair — dangling-else is a true ambiguity
+# (GL040, witness confirmed by both oracles), not-lalr is an LALR(1)
+# inadequacy only (GL041, search space exhausted) — and the report must
+# be byte-identical serial vs parallel, as must the report on the
+# grammars with the expensive walks (lua, csub, pascal).
 ambig-smoke:
 	$(GO) build -o bin/grammarlint ./cmd/grammarlint
 	./bin/grammarlint -corpus dangling-else,not-lalr -parallel 1 > bin/ambig-smoke-1.txt
@@ -106,6 +107,10 @@ ambig-smoke:
 	cmp bin/ambig-smoke-1.txt bin/ambig-smoke-4.txt
 	grep -q 'GL040.*proven ambiguity' bin/ambig-smoke-1.txt
 	grep -q 'GL041.*not an ambiguity' bin/ambig-smoke-1.txt
+	./bin/grammarlint -corpus lua,csub,pascal -parallel 1 > bin/ambig-heavy-1.txt
+	./bin/grammarlint -corpus lua,csub,pascal -parallel 4 > bin/ambig-heavy-4.txt
+	cmp bin/ambig-heavy-1.txt bin/ambig-heavy-4.txt
+	cmp bin/ambig-heavy-1.txt cmd/grammarlint/testdata/ambig-heavy.txt
 
 # Gate the corpus on the grammar linter: every corpus grammar is linted
 # against its registry-pinned conflict budget; any error-severity

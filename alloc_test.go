@@ -146,3 +146,20 @@ func TestLR0AllocBound(t *testing.T) {
 		t.Errorf("lr0.New allocates %.0f times on csub, bound %.0f — the allocation-lean construction has regressed", got, bound)
 	}
 }
+
+// TestAmbigWalkAllocBound pins the hash-consed ambiguity walk: stacks
+// are nodes of a per-walk arena, configurations are pairs of node ids,
+// and extensions share a token trie, so lua's two walks (a GL040
+// witness after ~3,800 configurations and a context-bound GL042)
+// allocate O(arena growth + oracle work) blocks, about 2,300.  Walks
+// that copied a stack per successor and keyed configurations by
+// decimal strings made about 1.46 million.
+func TestAmbigWalkAllocBound(t *testing.T) {
+	a, sets, open := ambigSetup(t, "lua")
+	const bound = 20000
+	got := testing.AllocsPerRun(2, func() { ambigWalks(a, sets, open) })
+	t.Logf("lua ambiguity walks: %.0f allocs (bound %d)", got, bound)
+	if got > bound {
+		t.Errorf("lua's ambiguity walks allocate %.0f times, bound %d — the stack arena has regressed", got, bound)
+	}
+}

@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/ambig"
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/grammar"
 	"repro/internal/grammars"
@@ -263,4 +265,44 @@ func BenchmarkTableIII_DeRemerPennelloLazy(b *testing.B) {
 			_ = core.ComputeLazy(a)
 		}
 	})
+}
+
+// ambigSetup builds a corpus grammar's automaton and DP look-aheads and
+// returns the conflicts lint walks: those left to a default resolution.
+func ambigSetup(tb testing.TB, name string) (*lr0.Automaton, [][]bitset.Set, []lalrtable.Conflict) {
+	tb.Helper()
+	g := grammars.MustLoad(name)
+	a := lr0.New(g, grammar.Analyze(g))
+	sets := core.Compute(a).Sets()
+	var open []lalrtable.Conflict
+	for _, c := range lalrtable.Build(a, sets).Conflicts {
+		if c.Resolution == lalrtable.DefaultShift || c.Resolution == lalrtable.DefaultEarlyRule {
+			open = append(open, c)
+		}
+	}
+	return a, sets, open
+}
+
+// ambigWalks walks every conflict as lint does: one Walker per conflict
+// at the default bounds.
+func ambigWalks(a *lr0.Automaton, sets [][]bitset.Set, open []lalrtable.Conflict) {
+	for _, c := range open {
+		ambig.New(a, sets, ambig.Config{}).Walk(c)
+	}
+}
+
+// BenchmarkAmbigWalk measures the ambiguity walks of the grammars whose
+// walks dominate /v1/lint: lua (a GL040 witness and a context-bound
+// GL042), csub and pascal (context-bound GL042s).
+func BenchmarkAmbigWalk(b *testing.B) {
+	for _, name := range []string{"lua", "csub", "pascal"} {
+		b.Run(name, func(b *testing.B) {
+			a, sets, open := ambigSetup(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ambigWalks(a, sets, open)
+			}
+		})
+	}
 }

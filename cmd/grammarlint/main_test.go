@@ -157,6 +157,17 @@ func TestStatsGoToStderr(t *testing.T) {
 	if !strings.Contains(es, "lint-pass-reads-cycles") || !strings.Contains(es, "lint-facts") {
 		t.Errorf("stderr should carry per-pass timings, got:\n%s", es)
 	}
+	// An ambiguity walk reports its configurations and interned stack
+	// nodes beside the walk count.
+	errw.Reset()
+	if err := run([]string{"-corpus", "dangling-else", "-stats"}, &out, &errw); err != nil && !errors.Is(err, errFindings) {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"ambig_walks", "ambig_pairs", "ambig_stack_nodes"} {
+		if !strings.Contains(errw.String(), want) {
+			t.Errorf("-stats on dangling-else should count %s, got:\n%s", want, errw.String())
+		}
+	}
 }
 
 // TestCSubAllFormats pins the acceptance criterion: the C-subset

@@ -177,6 +177,19 @@ type Walker struct {
 	// Both drive the bounded context enumeration.
 	pred  [][]predEdge
 	dist0 []int
+	// rank orders states by their decimal strings (see keyLess).
+	rank []int32
+	// gotoTab[s*numSyms+x] is state s's transition on x, or -1: the
+	// walk's successor step, without Goto's binary search.
+	gotoTab []int32
+	numSyms int
+
+	// Per-walk scratch, reused across walks: the stack arena, the
+	// extension trie, succ's work list and two successor buffers.
+	nodes      []node
+	toks       []extTok
+	work       []int32
+	bufA, bufB []int32
 }
 
 // predEdge is one reversed automaton transition.
@@ -212,15 +225,22 @@ func New(a *lr0.Automaton, sets [][]bitset.Set, cfg Config) *Walker {
 		}
 	}
 	n := len(a.States)
+	w.numSyms = a.G.NumSymbols()
+	w.gotoTab = make([]int32, n*w.numSyms)
+	for i := range w.gotoTab {
+		w.gotoTab[i] = -1
+	}
 	w.pred = make([][]predEdge, n)
 	for _, s := range a.States {
 		for _, tr := range s.Transitions {
+			w.gotoTab[s.Index*w.numSyms+int(tr.Sym)] = int32(tr.To)
 			if tr.Sym == grammar.EOF {
 				continue
 			}
 			w.pred[tr.To] = append(w.pred[tr.To], predEdge{from: s.Index, sym: tr.Sym})
 		}
 	}
+	w.rank = decimalRanks(n)
 	w.dist0 = make([]int, n)
 	for i := range w.dist0 {
 		w.dist0[i] = -1

@@ -157,19 +157,26 @@ func TestCorpusWalksComplete(t *testing.T) {
 				Budget:   bud,
 				Recorder: rec,
 			})
-			walked := 0
+			walked, pairs := 0, 0
 			for _, c := range tables.Conflicts {
 				if c.Resolution != lalrtable.DefaultShift && c.Resolution != lalrtable.DefaultEarlyRule {
 					continue
 				}
 				v := w.Walk(c)
 				walked++
+				pairs += v.Stats.Pairs
 				if v.Kind == Ambiguous && (v.Derivations < 2 || v.Trees < 2) {
 					t.Fatalf("state %d: unproven ambiguous verdict %+v", c.State, v)
 				}
 			}
 			if walked > 0 && rec.Counter(obs.CAmbigWalks) != int64(walked) {
 				t.Fatalf("walk counter = %d, want %d", rec.Counter(obs.CAmbigWalks), walked)
+			}
+			if got := rec.Counter(obs.CAmbigPairs); got != int64(pairs) {
+				t.Fatalf("pair counter = %d, want the sum of Stats.Pairs %d", got, pairs)
+			}
+			if pairs > 0 && rec.Counter(obs.CAmbigStackNodes) == 0 {
+				t.Fatalf("%d pairs popped but no stack nodes counted", pairs)
 			}
 		})
 	}

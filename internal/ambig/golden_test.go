@@ -102,8 +102,9 @@ func goldenLine(g *grammar.Grammar, label, bounds string, v Verdict) string {
 }
 
 // goldenReport walks every open conflict of every golden grammar.  In
-// short mode only the corpus grammars are walked, and the result is
-// compared against the matching prefix of the golden.
+// short mode (-short, or under the race detector) only the corpus
+// grammars are walked, and the result is compared against their lines
+// of the golden.
 func goldenReport(t testing.TB, short bool) string {
 	var out strings.Builder
 	gs := goldenGrammars()
@@ -134,7 +135,7 @@ func goldenReport(t testing.TB, short bool) string {
 }
 
 func TestVerdictGolden(t *testing.T) {
-	short := testing.Short() && !*update
+	short := (testing.Short() || raceEnabled) && !*update
 	got := goldenReport(t, short)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -96,8 +96,13 @@ const (
 	// CAmbigWalks counts SR-automaton ambiguity walks started (one per
 	// unresolved conflict); CAmbigWitnesses counts walks that ended in a
 	// proven-ambiguous verdict with an oracle-confirmed witness.
-	CAmbigWalks     = "ambig_walks"
-	CAmbigWitnesses = "ambig_witnesses"
+	// CAmbigPairs counts the stack-pair configurations the walks popped
+	// (the sum of their Stats.Pairs); CAmbigStackNodes the stack nodes
+	// they interned.
+	CAmbigWalks      = "ambig_walks"
+	CAmbigWitnesses  = "ambig_witnesses"
+	CAmbigPairs      = "ambig_pairs"
+	CAmbigStackNodes = "ambig_stack_nodes"
 )
 
 // Span is one timed phase.  Spans nest: a span started while another

@@ -355,6 +355,12 @@ func TestLintAmbiguityVerdicts(t *testing.T) {
 	if !strings.Contains(witness, "ELSE") {
 		t.Errorf("GL040 witness = %q, want an ELSE sentence", witness)
 	}
+	// The walk's counters fold into /metricz.
+	c := metricz(t, ts).Counters
+	if c["ambig_walks"] != 1 || c["ambig_pairs"] <= 0 || c["ambig_stack_nodes"] <= 0 {
+		t.Errorf("ambig counters = walks %d, pairs %d, stack nodes %d; want 1 walk and both positive",
+			c["ambig_walks"], c["ambig_pairs"], c["ambig_stack_nodes"])
+	}
 
 	// Starved bounds flip the verdict to GL042 — and since the bounds
 	// are part of the cache key, this must not hit the default entry.
