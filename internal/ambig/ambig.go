@@ -177,9 +177,10 @@ type Walker struct {
 	// Both drive the bounded context enumeration.
 	pred  [][]predEdge
 	dist0 []int
-	// rank orders states by their decimal strings (see keyLess).
+	// rank orders states by their decimal strings (see keyLess); built
+	// on first use, since most walks never compare two stacks.
 	rank []int32
-	// gotoTab[s*numSyms+x] is state s's transition on x, or -1: the
+	// gotoTab[s*numSyms+x] is 1 + state s's transition on x, or 0: the
 	// walk's successor step, without Goto's binary search.
 	gotoTab []int32
 	numSyms int
@@ -187,7 +188,7 @@ type Walker struct {
 	// Per-walk scratch, reused across walks: the stack arena, the
 	// extension trie, succ's work list and two successor buffers.
 	nodes      []node
-	toks       []extTok
+	trie       []extTok
 	work       []int32
 	bufA, bufB []int32
 }
@@ -227,20 +228,16 @@ func New(a *lr0.Automaton, sets [][]bitset.Set, cfg Config) *Walker {
 	n := len(a.States)
 	w.numSyms = a.G.NumSymbols()
 	w.gotoTab = make([]int32, n*w.numSyms)
-	for i := range w.gotoTab {
-		w.gotoTab[i] = -1
-	}
 	w.pred = make([][]predEdge, n)
 	for _, s := range a.States {
 		for _, tr := range s.Transitions {
-			w.gotoTab[s.Index*w.numSyms+int(tr.Sym)] = int32(tr.To)
+			w.gotoTab[s.Index*w.numSyms+int(tr.Sym)] = int32(tr.To) + 1
 			if tr.Sym == grammar.EOF {
 				continue
 			}
 			w.pred[tr.To] = append(w.pred[tr.To], predEdge{from: s.Index, sym: tr.Sym})
 		}
 	}
-	w.rank = decimalRanks(n)
 	w.dist0 = make([]int, n)
 	for i := range w.dist0 {
 		w.dist0[i] = -1

@@ -41,7 +41,7 @@ type node struct {
 // resetArena empties the stack arena down to the empty stack.
 func (w *Walker) resetArena() {
 	w.nodes = append(w.nodes[:0], node{})
-	w.toks = w.toks[:0]
+	w.trie = w.trie[:0]
 }
 
 // push returns the node for stack parent with state on top, interning
@@ -73,6 +73,9 @@ func (w *Walker) push(parent int32, state int) int32 {
 // follows this order because the candidate test looks at the second
 // stack only when the first accepts once.
 func (w *Walker) keyLess(a, b int32) bool {
+	if w.rank == nil {
+		w.rank = decimalRanks(len(w.a.States))
+	}
 	x, y := a, b
 	//guardloop:ok climbs at most the depth difference of two stacks
 	for w.nodes[x].depth > w.nodes[y].depth {
@@ -111,7 +114,7 @@ func decimalRanks(n int) []int32 {
 
 // gotoOf is state's transition on x, or -1.
 func (w *Walker) gotoOf(state int, x grammar.Sym) int {
-	return int(w.gotoTab[state*w.numSyms+int(x)])
+	return int(w.gotoTab[state*w.numSyms+int(x)]) - 1
 }
 
 // succ appends to dst one successor stack per distinct action path:
@@ -261,8 +264,8 @@ type extTok struct {
 
 // extend returns a trie node for extension ext followed by t.
 func (w *Walker) extend(ext int32, t grammar.Sym) int32 {
-	w.toks = append(w.toks, extTok{sym: t, prev: ext, n: w.extLen(ext) + 1})
-	return int32(len(w.toks) - 1)
+	w.trie = append(w.trie, extTok{sym: t, prev: ext, n: w.extLen(ext) + 1})
+	return int32(len(w.trie) - 1)
 }
 
 // extLen is the length of extension ext (-1 is the empty extension).
@@ -270,7 +273,7 @@ func (w *Walker) extLen(ext int32) int32 {
 	if ext < 0 {
 		return 0
 	}
-	return w.toks[ext].n
+	return w.trie[ext].n
 }
 
 // witness spells out a candidate sentence: base, then extension ext.
@@ -279,8 +282,8 @@ func (w *Walker) witness(base []grammar.Sym, ext int32) []grammar.Sym {
 	copy(wit, base)
 	i := len(wit) - 1
 	//guardloop:ok one step per extension token, at most MaxLen
-	for e := ext; e >= 0; e = w.toks[e].prev {
-		wit[i] = w.toks[e].sym
+	for e := ext; e >= 0; e = w.trie[e].prev {
+		wit[i] = w.trie[e].sym
 		i--
 	}
 	return wit
