@@ -110,7 +110,6 @@ ambig-smoke:
 	./bin/grammarlint -corpus lua,csub,pascal -parallel 1 > bin/ambig-heavy-1.txt
 	./bin/grammarlint -corpus lua,csub,pascal -parallel 4 > bin/ambig-heavy-4.txt
 	cmp bin/ambig-heavy-1.txt bin/ambig-heavy-4.txt
-	cmp bin/ambig-heavy-1.txt cmd/grammarlint/testdata/ambig-heavy.txt
 
 # Gate the corpus on the grammar linter: every corpus grammar is linted
 # against its registry-pinned conflict budget; any error-severity
