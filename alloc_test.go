@@ -106,28 +106,39 @@ func TestFrozenDecodeAllocBound(t *testing.T) {
 	}
 }
 
-// TestBodyEncodeAllocBound pins the one-pass response encoder: lalrd
-// encodes each analyze body into a reused scratch buffer and keeps one
-// exact-size copy, so a body costs one output allocation, amortised —
-// none per state, string or map key (json.MarshalIndent makes
-// thousands per body on csub).
+// TestBodyEncodeAllocBound pins the path from an analysis to its
+// analyze body: lalrd writes the report straight from the automaton,
+// look-ahead sets and tables into a reused scratch buffer, then keeps
+// either an exact-size copy or, with a store or fleet, the body section
+// of the frozen record.  Each body costs the writer's per-grammar name
+// table plus the output, a handful of allocations whatever the state
+// count — none per state, item or string (export.Build plus
+// json.MarshalIndent make thousands per body on csub).
 func TestBodyEncodeAllocBound(t *testing.T) {
 	g := grammars.MustLoad("csub")
 	res, err := Analyze(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := export.Build(res.Automaton, res.Lookahead, res.Tables, res.DP, MethodDeRemerPennello.String())
+	method := MethodDeRemerPennello.String()
 	var scratch []byte
-	const bound = 1
-	got := testing.AllocsPerRun(20, func() {
-		scratch = rep.AppendJSON(scratch[:0], 1)
-		body := make([]byte, len(scratch))
-		copy(body, scratch)
-	})
-	t.Logf("body encode(csub): %.0f allocs for %d bytes (bound %d)", got, len(scratch), bound)
-	if got > bound {
-		t.Errorf("body encode allocates %.0f times per body, bound %d — the one-pass encoder has regressed", got, bound)
+	const bound = 16
+	for _, keep := range []struct {
+		name string
+		body func([]byte) []byte
+	}{
+		{"exact-size copy", func(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }},
+		{"frozen record", func(b []byte) []byte { _, body := frozen.FreezeBody("fp", b); return body }},
+	} {
+		got := testing.AllocsPerRun(20, func() {
+			scratch = export.AppendAnalysis(scratch[:0], 1, res.Automaton, res.Lookahead, res.Tables, res.DP, method)
+			_ = keep.body(scratch)
+		})
+		t.Logf("body encode(csub), %s: %.0f allocs for %d bytes over %d states (bound %d)",
+			keep.name, got, len(scratch), len(res.Automaton.States), bound)
+		if got > bound {
+			t.Errorf("body encode (%s) allocates %.0f times per body, bound %d — the direct writer has regressed", keep.name, got, bound)
+		}
 	}
 }
 

@@ -238,11 +238,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *jsonOut != "" {
-		rep := export.Build(a, res.Lookahead, res.Tables, res.DP, method.String())
-		data, err := rep.JSON()
-		if err != nil {
-			return err
-		}
+		data := export.AppendAnalysis(nil, 0, a, res.Lookahead, res.Tables, res.DP, method.String())
 		if *jsonOut == "-" {
 			fmt.Fprintln(out, string(data))
 		} else {

@@ -1,176 +1,330 @@
 package export
 
 import (
+	"cmp"
 	"slices"
 	"strconv"
+	"strings"
 	"unicode/utf8"
+
+	"repro/internal/bitset"
+	"repro/internal/core"
+	"repro/internal/grammar"
+	"repro/internal/lalrtable"
+	"repro/internal/lr0"
 )
 
 // This file is the report's one encoding: a reflection-free writer
-// whose output is byte-identical to json.MarshalIndent(v, "", "  ")
-// over the types in export.go.  It mirrors their JSON tags by hand, so
-// a field added there must be added here too; encoding/json stays the
-// oracle the tests compare against (encode_test.go).
+// that goes straight from an analysis to the bytes of
+// json.MarshalIndent(Build(...), "", "  ").  It mirrors Build and the
+// JSON tags of export.go by hand, so a field added there must be added
+// here too; Build with encoding/json stays the oracle the tests compare
+// against (encode_test.go).
 
-// AppendJSON appends r as indented JSON, laid out as it is when nested
-// depth levels deep in a document indented with two spaces per level:
-// depth 0 gives exactly json.MarshalIndent(r, "", "  "), and depth 1
-// gives the bytes of a field value one object down.  A nil r appends
-// null.
-func (r *Report) AppendJSON(dst []byte, depth int) []byte {
-	if r == nil {
-		return append(dst, "null"...)
-	}
+// AppendAnalysis appends the report of an analysis as indented JSON,
+// laid out as it is when nested depth levels deep in a document
+// indented with two spaces per level: depth 0 gives exactly
+// json.MarshalIndent(Build(a, sets, t, dp, method), "", "  "), and
+// depth 1 gives the bytes of a field value one object down.  dp may be
+// nil for non-DP methods, as for Build.
+//
+// Nothing is formatted into intermediate strings: each symbol name is
+// escaped once, items and productions are spelled from the escaped
+// names (escaping commutes with joining names by the ASCII-led
+// separators " → ", " " and " ."), and each state's transitions are
+// written in the by-name order encoding/json gives a map.
+func AppendAnalysis(dst []byte, depth int, a *lr0.Automaton, sets [][]bitset.Set, t *lalrtable.Tables, dp *core.Result, method string) []byte {
+	n := newNames(a.G)
 	d := depth + 1
 	dst = append(dst, '{')
 	dst = key(dst, d, "grammar", true)
-	dst = r.Grammar.appendJSON(dst, d)
+	dst = n.appendGrammar(dst, d)
 	dst = key(dst, d, "method", false)
-	dst = AppendString(dst, r.Method)
+	dst = AppendString(dst, method)
 	dst = key(dst, d, "states", false)
-	dst = appendArray(dst, r.States, d, (*StateInfo).appendJSON)
+	dst = n.appendStates(dst, d, a, sets)
 	dst = key(dst, d, "conflicts", false)
-	dst = appendArray(dst, r.Conflicts, d, (*ConflictInfo).appendJSON)
-	if r.Relations != nil {
+	dst = n.appendConflicts(dst, d, t.Conflicts)
+	if dp != nil {
 		dst = key(dst, d, "relations", false)
-		dst = r.Relations.appendJSON(dst, d)
+		dst = appendRelations(dst, d, dp)
 	}
 	dst = key(dst, d, "adequate", false)
-	dst = strconv.AppendBool(dst, r.Adequate)
+	dst = strconv.AppendBool(dst, t.Adequate())
 	return closeObject(dst, depth)
 }
 
-func (g *GrammarInfo) appendJSON(dst []byte, depth int) []byte {
+// names holds a grammar's symbol names escaped once, and the order
+// encoding/json sorts them in as map keys.
+type names struct {
+	g   *grammar.Grammar
+	esc []byte  // every symbol's escaped name, unquoted, back to back
+	off []int32 // symbol s's escaped name is esc[off[s]:off[s+1]]
+	// rank is s's position among the symbols sorted by (name, s).
+	rank []int32
+	// scratch holds one state's transitions while they are sorted.
+	scratch []lr0.Transition
+}
+
+func newNames(g *grammar.Grammar) *names {
+	ns := g.NumSymbols()
+	size := 0
+	for s := range ns {
+		size += len(g.SymName(grammar.Sym(s)))
+	}
+	ints := make([]int32, 3*ns+1)
+	n := &names{g: g, esc: make([]byte, 0, size+size/8), off: ints[:ns+1], rank: ints[ns+1 : 2*ns+1]}
+	byName := ints[2*ns+1:]
+	for s := range ns {
+		n.esc = appendEscaped(n.esc, g.SymName(grammar.Sym(s)))
+		n.off[s+1] = int32(len(n.esc))
+		byName[s] = int32(s)
+	}
+	slices.SortFunc(byName, func(x, y int32) int {
+		if c := strings.Compare(g.SymName(grammar.Sym(x)), g.SymName(grammar.Sym(y))); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	for r, s := range byName {
+		n.rank[s] = int32(r)
+	}
+	return n
+}
+
+// sym appends the escaped name of s, unquoted.
+func (n *names) sym(dst []byte, s grammar.Sym) []byte {
+	return append(dst, n.esc[n.off[s]:n.off[s+1]]...)
+}
+
+// quoted appends the name of s as a JSON string.
+func (n *names) quoted(dst []byte, s grammar.Sym) []byte {
+	dst = append(dst, '"')
+	dst = n.sym(dst, s)
+	return append(dst, '"')
+}
+
+// prod appends production i as a JSON string, spelled as
+// Grammar.ProdString spells it.
+func (n *names) prod(dst []byte, i int) []byte {
+	p := n.g.Prod(i)
+	dst = append(dst, '"')
+	dst = n.sym(dst, p.Lhs)
+	dst = append(dst, " → "...)
+	if len(p.Rhs) == 0 {
+		dst = append(dst, "ε"...)
+	}
+	for j, s := range p.Rhs {
+		if j > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = n.sym(dst, s)
+	}
+	return append(dst, '"')
+}
+
+// item appends an LR(0) item as a JSON string, spelled as
+// Automaton.ItemString spells it.
+func (n *names) item(dst []byte, it lr0.Item) []byte {
+	p := n.g.Prod(int(it.Prod))
+	dst = append(dst, '"')
+	dst = n.sym(dst, p.Lhs)
+	dst = append(dst, " →"...)
+	for j, s := range p.Rhs {
+		if j == int(it.Dot) {
+			dst = append(dst, " ."...)
+		}
+		dst = append(dst, ' ')
+		dst = n.sym(dst, s)
+	}
+	if int(it.Dot) == len(p.Rhs) {
+		dst = append(dst, " ."...)
+	}
+	return append(dst, '"')
+}
+
+func (n *names) appendGrammar(dst []byte, depth int) []byte {
+	g := n.g
 	d := depth + 1
 	dst = append(dst, '{')
 	dst = key(dst, d, "name", true)
-	dst = AppendString(dst, g.Name)
+	dst = AppendString(dst, g.Name())
 	dst = key(dst, d, "terminals", false)
-	dst = appendStrings(dst, g.Terminals, d)
+	for i := range g.NumTerminals() {
+		dst = elem(dst, d, i)
+		dst = n.quoted(dst, grammar.Sym(i))
+	}
+	dst = closeArray(dst, d, g.NumTerminals())
 	dst = key(dst, d, "nonterminals", false)
-	dst = appendStrings(dst, g.Nonterminals, d)
+	for i := range g.NumNonterminals() {
+		dst = elem(dst, d, i)
+		dst = n.quoted(dst, g.NtSym(i))
+	}
+	dst = closeArray(dst, d, g.NumNonterminals())
 	dst = key(dst, d, "productions", false)
-	dst = appendStrings(dst, g.Productions, d)
+	for i := range g.Productions() {
+		dst = elem(dst, d, i)
+		dst = n.prod(dst, i)
+	}
+	dst = closeArray(dst, d, len(g.Productions()))
 	dst = key(dst, d, "start", false)
-	dst = AppendString(dst, g.Start)
+	dst = n.quoted(dst, g.Start())
 	return closeObject(dst, depth)
 }
 
-func (s *StateInfo) appendJSON(dst []byte, depth int) []byte {
-	d := depth + 1
-	dst = append(dst, '{')
-	dst = key(dst, d, "index", true)
-	dst = strconv.AppendInt(dst, int64(s.Index), 10)
-	dst = key(dst, d, "kernel", false)
-	dst = appendStrings(dst, s.Kernel, d)
-	if len(s.Transitions) > 0 {
-		dst = key(dst, d, "transitions", false)
-		dst = appendTransitions(dst, s.Transitions, d)
+func (n *names) appendStates(dst []byte, depth int, a *lr0.Automaton, sets [][]bitset.Set) []byte {
+	for q, s := range a.States {
+		dst = elem(dst, depth, q)
+		d := depth + 2
+		dst = append(dst, '{')
+		dst = key(dst, d, "index", true)
+		dst = strconv.AppendInt(dst, int64(q), 10)
+		dst = key(dst, d, "kernel", false)
+		for i, it := range s.Kernel {
+			dst = elem(dst, d, i)
+			dst = n.item(dst, it)
+		}
+		dst = closeArray(dst, d, len(s.Kernel))
+		if len(s.Transitions) > 0 {
+			dst = key(dst, d, "transitions", false)
+			dst = n.appendTransitions(dst, d, s.Transitions)
+		}
+		reds := 0
+		for i, pi := range s.Reductions {
+			if pi == 0 {
+				continue
+			}
+			if reds == 0 {
+				dst = key(dst, d, "reductions", false)
+			}
+			dst = elem(dst, d, reds)
+			reds++
+			dst = n.appendReduction(dst, d+1, pi, sets[q][i])
+		}
+		if reds > 0 {
+			dst = closeArray(dst, d, reds)
+		}
+		dst = closeObject(dst, depth+1)
 	}
-	if len(s.Reductions) > 0 {
-		dst = key(dst, d, "reductions", false)
-		dst = appendArray(dst, s.Reductions, d, (*ReductionInfo).appendJSON)
-	}
-	return closeObject(dst, depth)
+	return closeArray(dst, depth, len(a.States))
 }
 
-// appendTransitions writes a non-empty map with its keys in sorted
-// order, as encoding/json does for string-keyed maps.
-func appendTransitions(dst []byte, m map[string]int, depth int) []byte {
-	// Every state of the corpus has fewer transitions than this (csub's
-	// widest has 69), so the key scratch stays on the stack.
-	var scratch [128]string
-	keys := scratch[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
+// appendTransitions writes a state's non-empty transitions as the map
+// Build makes of them: keyed by symbol name, in sorted key order.
+func (n *names) appendTransitions(dst []byte, depth int, ts []lr0.Transition) []byte {
+	byName := append(n.scratch[:0], ts...)
+	slices.SortFunc(byName, func(x, y lr0.Transition) int {
+		return cmp.Compare(n.rank[x.Sym], n.rank[y.Sym])
+	})
+	n.scratch = byName
 	dst = append(dst, '{')
-	for i, k := range keys {
-		if i > 0 {
+	first := true
+	for i, tr := range byName {
+		// Build's map keeps the last of several symbols sharing a name,
+		// which sorts last among them here.
+		if i+1 < len(byName) && n.g.SymName(tr.Sym) == n.g.SymName(byName[i+1].Sym) {
+			continue
+		}
+		if !first {
 			dst = append(dst, ',')
 		}
+		first = false
 		dst = indent(dst, depth+1)
-		dst = AppendString(dst, k)
+		dst = n.quoted(dst, tr.Sym)
 		dst = append(dst, ": "...)
-		dst = strconv.AppendInt(dst, int64(m[k]), 10)
+		dst = strconv.AppendInt(dst, int64(tr.To), 10)
 	}
 	return closeObject(dst, depth)
 }
 
-func (ri *ReductionInfo) appendJSON(dst []byte, depth int) []byte {
+func (n *names) appendReduction(dst []byte, depth, prod int, la bitset.Set) []byte {
 	d := depth + 1
 	dst = append(dst, '{')
 	dst = key(dst, d, "production", true)
-	dst = AppendString(dst, ri.Production)
+	dst = n.prod(dst, prod)
 	dst = key(dst, d, "lookahead", false)
-	dst = appendStrings(dst, ri.Lookahead, d)
+	terms := 0
+	la.ForEach(func(term int) {
+		dst = elem(dst, d, terms)
+		dst = n.quoted(dst, grammar.Sym(term))
+		terms++
+	})
+	dst = closeArray(dst, d, terms)
 	return closeObject(dst, depth)
 }
 
-func (c *ConflictInfo) appendJSON(dst []byte, depth int) []byte {
-	d := depth + 1
-	dst = append(dst, '{')
-	dst = key(dst, d, "state", true)
-	dst = strconv.AppendInt(dst, int64(c.State), 10)
-	dst = key(dst, d, "terminal", false)
-	dst = AppendString(dst, c.Terminal)
-	dst = key(dst, d, "kind", false)
-	dst = AppendString(dst, c.Kind)
-	dst = key(dst, d, "productions", false)
-	dst = appendStrings(dst, c.Productions, d)
-	dst = key(dst, d, "resolution", false)
-	dst = AppendString(dst, c.Resolution)
-	dst = key(dst, d, "unresolved", false)
-	dst = strconv.AppendBool(dst, c.Unresolved)
-	return closeObject(dst, depth)
+func (n *names) appendConflicts(dst []byte, depth int, cs []lalrtable.Conflict) []byte {
+	for i := range cs {
+		c := &cs[i]
+		dst = elem(dst, depth, i)
+		d := depth + 2
+		dst = append(dst, '{')
+		dst = key(dst, d, "state", true)
+		dst = strconv.AppendInt(dst, int64(c.State), 10)
+		dst = key(dst, d, "terminal", false)
+		dst = n.quoted(dst, c.Terminal)
+		dst = key(dst, d, "kind", false)
+		if c.Kind == lalrtable.ShiftReduce {
+			dst = append(dst, `"shift/reduce"`...)
+		} else {
+			dst = append(dst, `"reduce/reduce"`...)
+		}
+		dst = key(dst, d, "productions", false)
+		for j, p := range c.Prods {
+			dst = elem(dst, d, j)
+			dst = n.prod(dst, p)
+		}
+		dst = closeArray(dst, d, len(c.Prods))
+		dst = key(dst, d, "resolution", false)
+		dst = AppendString(dst, c.Resolution.String())
+		dst = key(dst, d, "unresolved", false)
+		dst = strconv.AppendBool(dst, c.Resolution == lalrtable.DefaultShift || c.Resolution == lalrtable.DefaultEarlyRule)
+		dst = closeObject(dst, depth+1)
+	}
+	return closeArray(dst, depth, len(cs))
 }
 
-func (ri *RelationInfo) appendJSON(dst []byte, depth int) []byte {
+func appendRelations(dst []byte, depth int, dp *core.Result) []byte {
+	st := dp.Stats()
 	d := depth + 1
 	dst = append(dst, '{')
 	dst = key(dst, d, "ntTransitions", true)
-	dst = strconv.AppendInt(dst, int64(ri.NtTransitions), 10)
+	dst = strconv.AppendInt(dst, int64(st.NtTransitions), 10)
 	dst = key(dst, d, "readsEdges", false)
-	dst = strconv.AppendInt(dst, int64(ri.ReadsEdges), 10)
+	dst = strconv.AppendInt(dst, int64(st.ReadsEdges), 10)
 	dst = key(dst, d, "includesEdges", false)
-	dst = strconv.AppendInt(dst, int64(ri.IncludesEdges), 10)
+	dst = strconv.AppendInt(dst, int64(st.IncludesEdges), 10)
 	dst = key(dst, d, "lookbackEdges", false)
-	dst = strconv.AppendInt(dst, int64(ri.LookbackEdges), 10)
+	dst = strconv.AppendInt(dst, int64(st.LookbackEdges), 10)
 	dst = key(dst, d, "readsCyclic", false)
-	dst = strconv.AppendBool(dst, ri.ReadsCyclic)
+	dst = strconv.AppendBool(dst, st.ReadsCyclic)
 	dst = key(dst, d, "includesCyclic", false)
-	dst = strconv.AppendBool(dst, ri.IncludesCyclic)
+	dst = strconv.AppendBool(dst, st.IncludesCyclic)
 	dst = key(dst, d, "notLRk", false)
-	dst = strconv.AppendBool(dst, ri.NotLRk)
+	dst = strconv.AppendBool(dst, dp.NotLRk())
 	return closeObject(dst, depth)
 }
 
-// appendArray writes a slice whose elements are written by elem: null
-// when nil, [] when empty, one indented element per line otherwise.
-func appendArray[T any](dst []byte, xs []T, depth int, elem func(*T, []byte, int) []byte) []byte {
-	if xs == nil {
+// elem starts element i of an array whose bracket opens at depth: the
+// bracket itself or the separating comma, then the line break and
+// indentation.
+func elem(dst []byte, depth, i int) []byte {
+	if i == 0 {
+		dst = append(dst, '[')
+	} else {
+		dst = append(dst, ',')
+	}
+	return indent(dst, depth+1)
+}
+
+// closeArray ends an array of count elements started with elem.  Build
+// appends every slice from nil, so an empty one encodes as null.
+func closeArray(dst []byte, depth, count int) []byte {
+	if count == 0 {
 		return append(dst, "null"...)
-	}
-	if len(xs) == 0 {
-		return append(dst, "[]"...)
-	}
-	dst = append(dst, '[')
-	for i := range xs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = indent(dst, depth+1)
-		dst = elem(&xs[i], dst, depth+1)
 	}
 	dst = indent(dst, depth)
 	return append(dst, ']')
-}
-
-func appendStrings(dst []byte, ss []string, depth int) []byte {
-	return appendArray(dst, ss, depth, func(s *string, dst []byte, _ int) []byte {
-		return AppendString(dst, *s)
-	})
 }
 
 // key starts an object member at depth: the separating comma unless it
@@ -218,8 +372,15 @@ var plain = func() (t [utf8.RuneSelf]bool) {
 // bytes as \u00XX; each invalid UTF-8 byte as \ufffd; U+2028 and
 // U+2029 as \u2028 and \u2029.
 func AppendString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
+	dst = appendEscaped(dst, s)
+	return append(dst, '"')
+}
+
+// appendEscaped appends the body of AppendString's JSON string, without
+// the quotes.
+func appendEscaped(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
 	start := 0
 	for i := 0; i < len(s); {
 		if b := s[i]; b < utf8.RuneSelf {
@@ -263,6 +424,5 @@ func AppendString(dst []byte, s string) []byte {
 		i += size
 		start = i
 	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
+	return append(dst, s[start:]...)
 }

@@ -3,14 +3,19 @@
 // can consume states, look-ahead sets, conflicts and the
 // DeRemer–Pennello relations without parsing human-oriented dumps.
 //
-// The encoding is byte-deterministic: Build iterates only ordered
+// The report is written by AppendAnalysis, straight from the analysis
+// (encode.go).  Build assembles the same report as Go values; with
+// encoding/json it is the oracle AppendAnalysis is tested against, and
+// the form a client decodes a body into.
+//
+// The encoding is byte-deterministic: it visits only ordered
 // structures (state and production slices in construction order,
-// bit-set elements in ascending terminal order) and the one map field
-// (StateInfo.Transitions) is written in sorted key order.  Analyzing
-// the same grammar with the same method therefore always yields
-// byte-identical JSON — the invariant the lalrd cache
-// relies on to treat response bodies as content-addressed values, and
-// the one the golden test pins.
+// bit-set elements in ascending terminal order) and writes the one map
+// field (StateInfo.Transitions) in sorted key order.  Analyzing the
+// same grammar with the same method therefore always yields
+// byte-identical JSON — the invariant the lalrd cache relies on to
+// treat response bodies as content-addressed values, and the one the
+// golden test pins.
 package export
 
 import (
@@ -149,13 +154,4 @@ func Build(a *lr0.Automaton, sets [][]bitset.Set, t *lalrtable.Tables, dp *core.
 		}
 	}
 	return r
-}
-
-// JSON renders the report as AppendJSON does at depth 0, which is
-// json.MarshalIndent(r, "", "  ") byte for byte.  The output is
-// byte-deterministic for a given grammar and method (see the package
-// comment); cached copies of a report body compare equal to a fresh
-// recomputation.  The error is always nil.
-func (r *Report) JSON() ([]byte, error) {
-	return r.AppendJSON(nil, 0), nil
 }

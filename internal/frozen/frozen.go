@@ -194,6 +194,16 @@ func Freeze(td *TableData) []byte {
 	return out
 }
 
+// FreezeBody encodes a body-only record: the fingerprint and the body,
+// with empty table sections and NumStates 0.  It also returns the
+// record's body section, which aliases the record, so a caller that
+// keeps both the record and the body holds one allocation.
+func FreezeBody(fingerprint string, body []byte) (raw, frozenBody []byte) {
+	raw = Freeze(&TableData{Fingerprint: fingerprint, Body: body})
+	// The body is the last section Freeze writes.
+	return raw, raw[len(raw)-len(body):]
+}
+
 func int32Bytes(a []int32) []byte {
 	b := make([]byte, 4*len(a))
 	for i, v := range a {

@@ -124,6 +124,24 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFreezeBodyAliasesRecord: FreezeBody writes the same bytes as
+// Freeze of a body-only TableData, and its body section is the
+// record's own body, which Decode finds at the same place.
+func TestFreezeBodyAliasesRecord(t *testing.T) {
+	td, _ := goldenData(t)
+	raw, body := FreezeBody(td.Fingerprint, td.Body)
+	if want := Freeze(&TableData{Fingerprint: td.Fingerprint, Body: td.Body}); !bytes.Equal(raw, want) {
+		t.Fatal("FreezeBody differs from Freeze of the body-only record")
+	}
+	ft, err := Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, td.Body) || &body[0] != &ft.Body[0] || cap(body) != len(body) {
+		t.Fatal("body section is not the record's body, capped at its length")
+	}
+}
+
 // TestDecodeTruncations: every prefix of a valid frozen table must
 // decode to a typed error, never panic, never succeed.
 func TestDecodeTruncations(t *testing.T) {

@@ -15,9 +15,9 @@ import (
 	"repro/internal/packed"
 )
 
-// libraryReport analyzes src the way the server does, straight from
+// libraryAnalysis analyzes src the way the server does, straight from
 // the library.
-func libraryReport(t *testing.T, filename, src string, method repro.Method) *export.Report {
+func libraryAnalysis(t *testing.T, filename, src string, method repro.Method) *repro.Result {
 	t.Helper()
 	g, err := repro.LoadGrammar(filename, src)
 	if err != nil {
@@ -27,24 +27,26 @@ func libraryReport(t *testing.T, filename, src string, method repro.Method) *exp
 	if err != nil {
 		t.Fatal(err)
 	}
-	return export.Build(res.Automaton, res.Lookahead, res.Tables, res.DP, method.String())
+	return res
 }
 
-// TestAnalyzeBodyMatchesMarshal holds the one-pass analyze body to its
-// encoding/json oracle on every corpus grammar.
+// TestAnalyzeBodyMatchesMarshal holds the analyze body, written
+// straight from the analysis, to its encoding/json oracle — the
+// envelope around export.Build's report — on every corpus grammar.
 func TestAnalyzeBodyMatchesMarshal(t *testing.T) {
 	for _, e := range grammars.All() {
 		for _, m := range []repro.Method{repro.MethodDeRemerPennello, repro.MethodSLR} {
-			rep := libraryReport(t, e.Name+".y", e.Src, m)
+			res := libraryAnalysis(t, e.Name+".y", e.Src, m)
 			fp := cache.Fingerprint(e.Src, m.String())
 			want, err := marshalBody(AnalyzeResponse{
-				Schema: Schema, Kind: "analyze", Fingerprint: fp, Method: m.String(), Report: rep,
+				Schema: Schema, Kind: "analyze", Fingerprint: fp, Method: m.String(),
+				Report: export.Build(res.Automaton, res.Lookahead, res.Tables, res.DP, m.String()),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := analyzeBody(fp, m.String(), rep); !bytes.Equal(got, want) {
-				t.Fatalf("%s/%s: analyzeBody differs from marshalBody (%d vs %d bytes)", e.Name, m, len(got), len(want))
+			if got := appendAnalyzeResponse(nil, fp, m.String(), res); !bytes.Equal(got, want) {
+				t.Fatalf("%s/%s: appendAnalyzeResponse differs from marshalBody (%d vs %d bytes)", e.Name, m, len(got), len(want))
 			}
 		}
 	}
@@ -121,16 +123,17 @@ func TestTablesCarryingRecordServesFrozen(t *testing.T) {
 	}
 }
 
-// TestMissTraceNamesServerSpans: a miss's trace carries the server's
-// own layers after the pipeline phases — the report build, the body
-// encode and, with a store, the freeze plus store put.
+// TestMissTraceNamesServerSpans: a miss's trace names the server's own
+// layers as root spans around the pipeline phases — the grammar read
+// first, then the body encode and, with a store, the freeze plus store
+// put last — and has no report-build span.
 func TestMissTraceNamesServerSpans(t *testing.T) {
 	for _, c := range []struct {
 		storeDir string
-		want     []string
+		tail     []string
 	}{
-		{"", []string{"export-build", "body-encode"}},
-		{filepath.Join(t.TempDir(), "store"), []string{"export-build", "body-encode", "frozen-save"}},
+		{"", []string{"body-encode"}},
+		{filepath.Join(t.TempDir(), "store"), []string{"body-encode", "frozen-save"}},
 	} {
 		ts := newTestServer(t, Config{CacheBytes: 1 << 20, StoreDir: c.storeDir})
 		resp, _ := post(t, ts, "/v1/analyze", AnalyzeRequest{Grammar: danglingElse})
@@ -139,12 +142,20 @@ func TestMissTraceNamesServerSpans(t *testing.T) {
 			t.Fatalf("entries = %d, want 1", len(tr.Entries))
 		}
 		phases := tr.Entries[0].Phases
-		if len(phases) <= len(c.want) {
-			t.Fatalf("store %q: %d root spans, want the pipeline's plus %v", c.storeDir, len(phases), c.want)
+		if len(phases) <= 1+len(c.tail) {
+			t.Fatalf("store %q: %d root spans, want grammar-load, the pipeline's and %v", c.storeDir, len(phases), c.tail)
 		}
-		for i, name := range c.want {
-			if got := phases[len(phases)-len(c.want)+i].Name; got != name {
+		if got := phases[0].Name; got != "grammar-load" {
+			t.Errorf("store %q: first root span = %q, want grammar-load", c.storeDir, got)
+		}
+		for i, name := range c.tail {
+			if got := phases[len(phases)-len(c.tail)+i].Name; got != name {
 				t.Errorf("store %q: server span %d = %q, want %q", c.storeDir, i, got, name)
+			}
+		}
+		for _, sp := range phases {
+			if sp.Name == "export-build" {
+				t.Errorf("store %q: miss trace still has an export-build span", c.storeDir)
 			}
 		}
 	}

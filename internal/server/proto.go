@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 
+	"repro"
 	"repro/internal/export"
 	"repro/internal/guard"
 )
@@ -51,12 +52,13 @@ type AnalyzeResponse struct {
 	Report      *export.Report `json:"report"`
 }
 
-// appendAnalyzeResponse appends the canonical /v1/analyze success body:
-// json.MarshalIndent of an AnalyzeResponse, byte for byte, plus the
-// trailing newline marshalBody adds.  It mirrors the struct's tags by
-// hand (export.Report.AppendJSON writes the report); the server tests
-// hold it to the encoding/json oracle.
-func appendAnalyzeResponse(dst []byte, fp, method string, rep *export.Report) []byte {
+// appendAnalyzeResponse appends the canonical /v1/analyze success body
+// of a computed analysis: json.MarshalIndent of an AnalyzeResponse
+// whose Report is export.Build's, byte for byte, plus the trailing
+// newline marshalBody adds.  It mirrors the struct's tags by hand
+// (export.AppendAnalysis writes the report); the server tests hold it
+// to the encoding/json oracle.
+func appendAnalyzeResponse(dst []byte, fp, method string, res *repro.Result) []byte {
 	dst = append(dst, "{\n  \"schema\": "...)
 	dst = export.AppendString(dst, Schema)
 	dst = append(dst, ",\n  \"kind\": \"analyze\",\n  \"fingerprint\": "...)
@@ -64,7 +66,7 @@ func appendAnalyzeResponse(dst []byte, fp, method string, rep *export.Report) []
 	dst = append(dst, ",\n  \"method\": "...)
 	dst = export.AppendString(dst, method)
 	dst = append(dst, ",\n  \"report\": "...)
-	dst = rep.AppendJSON(dst, 1)
+	dst = export.AppendAnalysis(dst, 1, res.Automaton, res.Lookahead, res.Tables, res.DP, method)
 	return append(dst, "\n}\n"...)
 }
 

@@ -34,7 +34,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/driver"
-	"repro/internal/export"
 	"repro/internal/frozen"
 	"repro/internal/guard"
 	"repro/internal/lint"
@@ -376,16 +375,28 @@ func marshalBody(v any) ([]byte, error) {
 // one costs more allocation than the body itself.
 var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// analyzeBody renders the canonical /v1/analyze success body — the
-// bytes marshalBody gives for the same AnalyzeResponse — in one pass
-// over a pooled scratch buffer, and returns an exact-size copy.
-func analyzeBody(fp, method string, rep *export.Report) []byte {
+// analyzeBody writes the canonical /v1/analyze success body of a
+// computed analysis — the bytes marshalBody gives for the same
+// AnalyzeResponse — into a pooled scratch buffer, under a body-encode
+// span.  With a store or a fleet it then freezes the body into a
+// body-only record, under a frozen-save span, and returns the record
+// with the body as the record's own body section, so one allocation
+// holds both.  Otherwise it returns an exact-size copy and no record.
+func (s *Server) analyzeBody(rec *obs.Recorder, fp string, method repro.Method, res *repro.Result) (body, raw []byte) {
 	buf := bodyBufs.Get().(*[]byte)
-	*buf = appendAnalyzeResponse((*buf)[:0], fp, method, rep)
-	body := make([]byte, len(*buf))
-	copy(body, *buf)
-	bodyBufs.Put(buf)
-	return body
+	defer bodyBufs.Put(buf)
+	sp := rec.Start("body-encode")
+	*buf = appendAnalyzeResponse((*buf)[:0], fp, method.String(), res)
+	if s.store == nil && s.cluster == nil {
+		body = make([]byte, len(*buf))
+		copy(body, *buf)
+		sp.End()
+		return body, nil
+	}
+	sp.End()
+	sp = rec.Start("frozen-save")
+	defer sp.End()
+	return s.saveFrozen(fp, *buf)
 }
 
 // handleAnalyze serves POST /v1/analyze.
@@ -517,12 +528,14 @@ func (s *Server) analyzeOne(ctx context.Context, src, filename string, method re
 				s.logf("peer fetch %s degraded to local compute: %v", fp, ferr)
 			}
 		}
+		rec := repro.NewRecorder()
+		defer func() { phases = s.recordPipeline(rec) }()
+		sp := rec.Start("grammar-load")
 		g, err := repro.LoadGrammar(filename, src)
+		sp.End()
 		if err != nil {
 			return nil, &grammarError{err}
 		}
-		rec := repro.NewRecorder()
-		defer func() { phases = s.recordPipeline(rec) }()
 		res, err := repro.Analyze(g, repro.Options{
 			Method:   method,
 			Recorder: rec,
@@ -532,22 +545,12 @@ func (s *Server) analyzeOne(ctx context.Context, src, filename string, method re
 		if err != nil {
 			return nil, err
 		}
-		sp := rec.Start("export-build")
-		rep := export.Build(res.Automaton, res.Lookahead, res.Tables, res.DP, method.String())
-		sp.End()
-		sp = rec.Start("body-encode")
-		body := analyzeBody(fp, method.String(), rep)
-		sp.End()
-		if s.store != nil || s.cluster != nil {
-			sp = rec.Start("frozen-save")
-			raw := s.saveFrozen(fp, body)
-			sp.End()
-			if s.cluster != nil {
-				// Push the fresh record to its ring owner so owners
-				// converge to hold their key range; later misses anywhere
-				// in the fleet then peer-fill instead of recomputing.
-				s.cluster.Offer(fp, raw)
-			}
+		body, raw := s.analyzeBody(rec, fp, method, res)
+		if s.cluster != nil {
+			// Push the fresh record to its ring owner so owners converge
+			// to hold their key range; later misses anywhere in the
+			// fleet then peer-fill instead of recomputing.
+			s.cluster.Offer(fp, raw)
 		}
 		return body, nil
 	})
@@ -574,12 +577,12 @@ func (s *Server) analyzeOne(ctx context.Context, src, filename string, method re
 // into the store, best effort: serving never fails because a freeze
 // did.  The record is body-only — FRZ1 with empty table sections and
 // NumStates 0 — because frozen and peer hits answer with the body and
-// read nothing else.  It returns the encoded FRZ1 bytes (also when
-// the local save failed, and when there is no local store at all) so
-// the caller can offer them to the fingerprint's ring owner without a
-// second encode.
-func (s *Server) saveFrozen(fp string, body []byte) []byte {
-	raw := frozen.Freeze(&frozen.TableData{Fingerprint: fp, Body: body})
+// read nothing else.  It returns the record's body section, which the
+// cache keeps, and the record itself (also when the local save failed,
+// and when there is no local store at all) so the caller can offer it
+// to the fingerprint's ring owner without a second encode.
+func (s *Server) saveFrozen(fp string, encoded []byte) (body, raw []byte) {
+	raw, body = frozen.FreezeBody(fp, encoded)
 	if s.store != nil {
 		if err := s.store.PutBytes(fp, raw); err != nil {
 			s.addCounter("frozen_errors", 1)
@@ -588,7 +591,7 @@ func (s *Server) saveFrozen(fp string, body []byte) []byte {
 			s.addCounter("frozen_saves", 1)
 		}
 	}
-	return raw
+	return body, raw
 }
 
 // handleLint serves POST /v1/lint.

@@ -1,10 +1,12 @@
 package repro
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/grammars"
+	"repro/internal/obs"
 )
 
 const calcSrc = `
@@ -171,5 +173,46 @@ stmt : IF cond THEN stmt | IF cond THEN stmt ELSE stmt | other ;
 	res2, _ := Analyze(g2, Options{})
 	if len(res2.Counterexamples()) != 0 {
 		t.Error("adequate grammar produced counterexamples")
+	}
+}
+
+// TestCostModelIdentity checks the paper's unit-cost accounting on
+// every DP analysis of the corpus and its mutation-fuzzer variants:
+// each bit-set union is a traversed relation edge, a non-root SCC
+// member taking its root's set, or a Follow set joined into a
+// look-ahead, so bitset_unions = relation_edges + (scc_pushes − sccs)
+// + la_unions.
+func TestCostModelIdentity(t *testing.T) {
+	seeds := int64(6)
+	if testing.Short() {
+		seeds = 1
+	}
+	check := func(label, file, src string) {
+		t.Helper()
+		g, err := LoadGrammar(file, src)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		rec := NewRecorder()
+		if _, err := Analyze(g, Options{Recorder: rec}); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		unions, edges := rec.Counter(obs.CBitsetUnions), rec.Counter(obs.CRelationEdges)
+		pushes, sccs, la := rec.Counter(obs.CSCCPushes), rec.Counter(obs.CSCCs), rec.Counter(obs.CLAUnions)
+		if la == 0 || sccs == 0 {
+			t.Fatalf("%s: no Digraph or look-ahead counters recorded", label)
+		}
+		if unions != edges+(pushes-sccs)+la {
+			t.Errorf("%s: bitset_unions %d != relation_edges %d + (scc_pushes %d - sccs %d) + la_unions %d",
+				label, unions, edges, pushes, sccs, la)
+		}
+	}
+	for _, e := range grammars.All() {
+		check(e.Name, e.Name+".y", e.Src)
+		for seed := int64(1); seed <= seeds; seed++ {
+			for i, m := range grammars.Mutations(e.Src, seed, 6) {
+				check(e.Name+" mutant "+strconv.Itoa(int(seed))+"/"+strconv.Itoa(i), e.Name+"-mutant.y", m)
+			}
+		}
 	}
 }
