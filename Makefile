@@ -4,14 +4,18 @@ GO ?= go
 
 ci: build vet test race smoke serve-smoke benchsmoke guard-smoke telemetry-smoke frozen-smoke ambig-smoke cluster-smoke lint-corpus
 
+# The benchmark is a separate module that imports internal/*, so the
+# root build does not compile it; build (output discarded) and vet it
+# here so a change to an internal API cannot break it unseen.
 build:
 	$(GO) build ./...
+	cd lalrdbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 # Standard vet plus the repo's own checkers (both speak the -vettool
 # protocol with stdlib only): nilrecorder enforces the nil-receiver
 # guard pattern on exported obs and telemetry methods; guardloop
 # requires every potentially unbounded loop in the search and fixpoint
-# engines (ambig, digraph, glr, treecount) to hit a guard.Budget
+# engines (ambig, cluster, digraph, glr, treecount) to hit a guard.Budget
 # checkpoint or carry an explicit //guardloop:ok waiver.  First, any
 # Go file gofmt would rewrite fails the target, named.
 vet:
@@ -28,11 +32,11 @@ test:
 
 # The concurrent components — the parallel driver, the sharded
 # response cache (singleflight, LRU under contention), the server's
-# request handling, the shard-merged telemetry histograms, the parallel
-# Digraph solve with its lock-free shared arena, the fanned prop
-# read-off, the frozen store consulted from request goroutines, and the
-# cluster peer layer (hedged fetches, breakers, async offers) — run
-# under the race detector.
+# request handling, the shard-merged telemetry histograms, the frozen
+# store consulted from request goroutines, the per-conflict ambiguity
+# walks, and the cluster peer layer (hedged fetches, breakers, async
+# offers) — run under the race detector, alongside the serial Digraph
+# and prop engines they call.
 race:
 	$(GO) test -race ./internal/driver/... ./internal/cache/... ./internal/server/... ./internal/telemetry/... ./internal/digraph/... ./internal/prop/... ./internal/frozen/... ./internal/ambig/... ./internal/cluster/...
 

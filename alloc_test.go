@@ -65,26 +65,6 @@ func TestComputeAllocBound(t *testing.T) {
 	}
 }
 
-// TestComputeParallelAllocBound holds the parallel Digraph path to the
-// same per-family discipline as the serial one.  The fan-out adds the
-// condensation CSRs, the per-level goroutines and the forked budgets —
-// all O(workers + SCC structure), none O(sets) — so a generous constant
-// on top of the serial bound still fails long before any per-set
-// allocation comes back.
-func TestComputeParallelAllocBound(t *testing.T) {
-	_, _, a := csubAutomaton(t)
-	bound := float64(len(a.NtTrans)) + 512
-	got := testing.AllocsPerRun(10, func() {
-		if _, err := core.ComputeWith(a, core.Options{Workers: 4}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("core.ComputeWith(csub, 4 workers): %.0f allocs (bound %.0f)", got, bound)
-	if got > bound {
-		t.Errorf("parallel core.ComputeWith allocates %.0f times on csub, bound %.0f — the arena path has regressed", got, bound)
-	}
-}
-
 // TestFrozenDecodeAllocBound pins the zero-copy claim of the frozen
 // loader: decoding a table is header validation plus slice views into
 // the input buffer, so it allocates O(1) blocks per table — the Table

@@ -559,10 +559,10 @@ func collectMetrics(quick bool, workers int, gf *cliguard.Flags) (benchMetrics, 
 		}, budget).Nanoseconds()
 		gm.TimingsNs["prop"] = measureBudget(func() { _, _ = prop.Compute(a) }, budget).Nanoseconds()
 
-		// Isolated Digraph solve phases, serial vs a 4-way fan-out.  Each
-		// iteration re-seeds a fresh arena from the already-built relations;
-		// the seeding cost is identical on both sides, so the serial-vs-par4
-		// delta isolates the solve itself.
+		// Isolated Digraph solve phases.  Each iteration re-seeds a fresh
+		// arena from the already-built relations, so the timing is the
+		// solve plus one arena copy, without the relation construction
+		// that the dp timing also pays for.
 		n := len(a.NtTrans)
 		seed := func(src []bitset.Set) []bitset.Set {
 			out := bitset.NewArena(len(src), g.NumTerminals()).Sets()
@@ -571,18 +571,11 @@ func collectMetrics(quick bool, workers int, gf *cliguard.Flags) (benchMetrics, 
 			}
 			return out
 		}
-		solve := func(adj [][]int32, src []bitset.Set, workers int) func() {
-			return func() {
-				f := seed(src)
-				if _, err := digraph.SolveParallel(n, adjRel(adj), f, workers, nil, nil); err != nil {
-					panic(err)
-				}
-			}
+		solve := func(adj [][]int32, src []bitset.Set) func() {
+			return func() { _ = digraph.Run(n, adjRel(adj), seed(src)) }
 		}
-		gm.TimingsNs["solve_reads"] = measureBudget(solve(dp.Reads, dp.DR, 1), budget).Nanoseconds()
-		gm.TimingsNs["solve_includes"] = measureBudget(solve(dp.Includes, dp.Read, 1), budget).Nanoseconds()
-		gm.TimingsNs["solve_reads_par4"] = measureBudget(solve(dp.Reads, dp.DR, 4), budget).Nanoseconds()
-		gm.TimingsNs["solve_includes_par4"] = measureBudget(solve(dp.Includes, dp.Read, 4), budget).Nanoseconds()
+		gm.TimingsNs["solve_reads"] = measureBudget(solve(dp.Reads, dp.DR), budget).Nanoseconds()
+		gm.TimingsNs["solve_includes"] = measureBudget(solve(dp.Includes, dp.Read), budget).Nanoseconds()
 
 		doc.Grammars[gi] = gm
 		return nil

@@ -108,27 +108,7 @@ func ComputeObserved(a *lr0.Automaton, rec *obs.Recorder) *Result {
 // passes run budgeted.  A nil Budget makes it identical to
 // ComputeObserved.
 func ComputeBudgeted(a *lr0.Automaton, rec *obs.Recorder, bud *guard.Budget) (*Result, error) {
-	return computeWith(a, false, 0, rec, bud)
-}
-
-// Options configures one computation beyond the automaton itself.  The
-// zero value is ComputeBudgeted with nil recorder and budget.
-type Options struct {
-	// Workers is the Digraph solve fan-out: the two fixpoint passes run
-	// through digraph.SolveParallel with this worker count.  Values <= 1
-	// keep the serial traversal.  Results are byte-identical either way.
-	Workers int
-	// Recorder receives per-phase spans and cost-model counters (nil =
-	// none recorded).
-	Recorder *obs.Recorder
-	// Budget governs the computation (nil = ungoverned).
-	Budget *guard.Budget
-}
-
-// ComputeWith is ComputeBudgeted with the full option set, including
-// the parallel Digraph solve.
-func ComputeWith(a *lr0.Automaton, opt Options) (*Result, error) {
-	return computeWith(a, false, opt.Workers, opt.Recorder, opt.Budget)
+	return computeWith(a, false, rec, bud)
 }
 
 // ComputeNaive is Compute with the Digraph traversal replaced by naive
@@ -137,14 +117,14 @@ func ComputeWith(a *lr0.Automaton, opt Options) (*Result, error) {
 // statistics (ReadsStats and IncludesStats are nil).  The baseline is
 // never run on untrusted inputs, so it stays unbudgeted.
 func ComputeNaive(a *lr0.Automaton) *Result {
-	r, err := computeWith(a, true, 0, nil, nil)
+	r, err := computeWith(a, true, nil, nil)
 	if err != nil {
 		panic(err)
 	}
 	return r
 }
 
-func computeWith(a *lr0.Automaton, naive bool, workers int, rec *obs.Recorder, bud *guard.Budget) (*Result, error) {
+func computeWith(a *lr0.Automaton, naive bool, rec *obs.Recorder, bud *guard.Budget) (*Result, error) {
 	r := &Result{Auto: a}
 	sp := rec.Start("dr-reads")
 	bud.Phase("dr-reads")
@@ -174,7 +154,7 @@ func computeWith(a *lr0.Automaton, naive bool, workers int, rec *obs.Recorder, b
 	if naive {
 		digraph.RunNaiveObserved(n, sliceRel(r.Reads), r.Read, rec)
 	} else {
-		r.ReadsStats, err = digraph.SolveParallel(n, sliceRel(r.Reads), r.Read, workers, rec, bud)
+		r.ReadsStats, err = digraph.RunBudgeted(n, sliceRel(r.Reads), r.Read, rec, bud)
 	}
 	sp.End()
 	if err != nil {
@@ -188,7 +168,7 @@ func computeWith(a *lr0.Automaton, naive bool, workers int, rec *obs.Recorder, b
 	if naive {
 		digraph.RunNaiveObserved(n, sliceRel(r.Includes), r.Follow, rec)
 	} else {
-		r.IncludesStats, err = digraph.SolveParallel(n, sliceRel(r.Includes), r.Follow, workers, rec, bud)
+		r.IncludesStats, err = digraph.RunBudgeted(n, sliceRel(r.Includes), r.Follow, rec, bud)
 	}
 	sp.End()
 	if err != nil {

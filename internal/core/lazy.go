@@ -5,7 +5,6 @@ import (
 	"repro/internal/digraph"
 	"repro/internal/grammar"
 	"repro/internal/lr0"
-	"repro/internal/obs"
 )
 
 // ComputeLazy is the on-demand variant production generators use
@@ -24,35 +23,17 @@ import (
 //
 // Diagnostics caveat: NotLRk and Exact on a lazy result consider only
 // the needed sub-relation; use Compute when the diagnoses matter.
+//
+// The lazy path is used by the generator on trusted inputs and stays
+// ungoverned and unobserved; the nil budgets below make the shared
+// relation sweeps infallible here.
 func ComputeLazy(a *lr0.Automaton) *Result {
-	return ComputeLazyObserved(a, nil)
-}
-
-// ComputeLazyObserved is ComputeLazy with per-phase spans and counters
-// recorded into rec (which may be nil).  The lazy path is used by the
-// generator on trusted inputs and stays ungoverned; the nil budgets
-// below make the shared relation sweeps infallible here.
-func ComputeLazyObserved(a *lr0.Automaton, rec *obs.Recorder) *Result {
-	return ComputeLazyWith(a, 0, rec)
-}
-
-// ComputeLazyWith is ComputeLazyObserved with the Digraph solve fanned
-// out over workers goroutines (<= 1 keeps the serial traversal; results
-// are byte-identical either way).
-func ComputeLazyWith(a *lr0.Automaton, workers int, rec *obs.Recorder) *Result {
 	r := &Result{Auto: a}
-	sp := rec.Start("dr-reads")
 	if err := r.computeDRAndReads(nil); err != nil {
 		panic(err)
 	}
-	sp.End()
-	sp = rec.Start("includes-lookback")
 	if err := r.computeIncludesAndLookback(nil); err != nil {
 		panic(err)
-	}
-	sp.End()
-	if rec != nil {
-		r.flushRelationCounters(rec)
 	}
 	g := a.G
 	n := len(a.NtTrans)
@@ -103,7 +84,6 @@ func ComputeLazyWith(a *lr0.Automaton, workers int, rec *obs.Recorder) *Result {
 		}
 	}
 
-	sp = rec.Start("solve-reads")
 	readArena := bitset.NewArena(n, g.NumTerminals())
 	r.Read = readArena.Sets()
 	for i := range r.Read {
@@ -111,28 +91,14 @@ func ComputeLazyWith(a *lr0.Automaton, workers int, rec *obs.Recorder) *Result {
 			r.DR[i].CopyInto(&r.Read[i])
 		}
 	}
-	var err error
-	r.ReadsStats, err = digraph.SolveParallel(n, restrict(r.Reads), r.Read, workers, rec, nil)
-	if err != nil {
-		// A nil Budget enforces nothing; no error is possible.
-		panic(err)
-	}
-	sp.End()
-
-	sp = rec.Start("solve-includes")
+	r.ReadsStats = digraph.Run(n, restrict(r.Reads), r.Read)
 	r.Follow = readArena.Clone().Sets()
-	r.IncludesStats, err = digraph.SolveParallel(n, restrict(r.Includes), r.Follow, workers, rec, nil)
-	if err != nil {
-		panic(err)
-	}
-	sp.End()
+	r.IncludesStats = digraph.Run(n, restrict(r.Includes), r.Follow)
 
 	full := bitset.New(g.NumTerminals())
 	for t := 0; t < g.NumTerminals(); t++ {
 		full.Add(t)
 	}
-	sp = rec.Start("la-union")
-	laUnions := 0
 	laArena := bitset.NewArena(r.redBase[len(a.States)], g.NumTerminals())
 	laSets := laArena.Sets()
 	r.LA = make([][]bitset.Set, len(a.States))
@@ -150,13 +116,7 @@ func ComputeLazyWith(a *lr0.Automaton, workers int, rec *obs.Recorder) *Result {
 			for _, ti := range r.Lookback[q][i] {
 				la.Or(r.Follow[ti])
 			}
-			laUnions += len(r.Lookback[q][i])
 		}
-	}
-	sp.End()
-	if rec != nil {
-		rec.Add(obs.CLAUnions, int64(laUnions))
-		rec.Add(obs.CBitsetUnions, int64(laUnions))
 	}
 	return r
 }

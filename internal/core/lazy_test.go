@@ -10,12 +10,20 @@ import (
 
 // In inadequate states the lazy computation must match the full one
 // exactly; in adequate states it returns the full terminal set
-// (default reduction).
+// (default reduction).  In the last grammar x → a gets its look-ahead
+// {c} only through a reads edge over the ε-only y, so the lazy marking
+// must follow reads edges as well as includes edges.
 func TestLazyMatchesFullOnInadequateStates(t *testing.T) {
 	for _, src := range []string{lrEqSrc, notLALRSrc, `
 %token IF THEN ELSE other cond
 %%
 stmt : IF cond THEN stmt | IF cond THEN stmt ELSE stmt | other ;
+`, `
+%token a c d
+%%
+s : x y c | a d ;
+x : a ;
+y : ;
 `} {
 		g := grammar.MustParse("t.y", src)
 		a := lr0.New(g, nil)

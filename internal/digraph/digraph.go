@@ -52,15 +52,7 @@ func (s *Stats) Cyclic() bool { return s.NontrivialSCCs > 0 || s.SelfLoops > 0 }
 //
 // The returned Stats describe the relation's SCC structure.
 func Run(n int, rel Succ, f []bitset.Set) *Stats {
-	return RunObserved(n, rel, f, nil)
-}
-
-// RunObserved is Run with observability: on a non-nil Recorder it
-// flushes the traversal's cost-model counters (edges traversed, unions
-// performed, stack pushes/pops, components found) once at the end, so
-// the traversal itself carries no per-edge recording cost.
-func RunObserved(n int, rel Succ, f []bitset.Set, rec *obs.Recorder) *Stats {
-	st, err := RunBudgeted(n, rel, f, rec, nil)
+	st, err := RunBudgeted(n, rel, f, nil, nil)
 	if err != nil {
 		// A nil Budget enforces nothing; no error is possible.
 		panic(err)
@@ -68,11 +60,15 @@ func RunObserved(n int, rel Succ, f []bitset.Set, rec *obs.Recorder) *Stats {
 	return st
 }
 
-// RunBudgeted is RunObserved under a resource budget: the traversal
-// checkpoints cancellation once per opened frame and trips
-// guard.ResRelationEdges when the number of edges traversed crosses
-// Limits.MaxRelationEdges.  On error the solution in f is partial and
-// must be discarded.  A nil Budget makes it identical to RunObserved.
+// RunBudgeted is Run with observability and under a resource budget.
+// On a non-nil Recorder it flushes the traversal's cost-model counters
+// (edges traversed, unions performed, stack pushes/pops, components
+// found) once at the end, so the traversal itself carries no per-edge
+// recording cost.  The traversal checkpoints cancellation once per
+// loop step and trips guard.ResRelationEdges when the number of edges
+// traversed crosses Limits.MaxRelationEdges.  On error the solution in
+// f is partial and must be discarded.  A nil Recorder and a nil Budget
+// make it identical to Run.
 func RunBudgeted(n int, rel Succ, f []bitset.Set, rec *obs.Recorder, bud *guard.Budget) (*Stats, error) {
 	d := &runner{
 		rel:   rel,

@@ -1,10 +1,13 @@
 package digraph
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/guard"
 	"repro/internal/obs"
 )
 
@@ -292,10 +295,13 @@ func TestRunUnionAccounting(t *testing.T) {
 	}
 }
 
-func TestRunObservedFlushesCounters(t *testing.T) {
+func TestRunBudgetedFlushesCounters(t *testing.T) {
 	rec := obs.New()
 	adj := [][]int{{1}, {0}, {1}}
-	st := RunObserved(3, edgeRel(adj), seeds([][]int{{0}, {1}, {2}}, 3), rec)
+	st, err := RunBudgeted(3, edgeRel(adj), seeds([][]int{{0}, {1}, {2}}, 3), rec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := rec.Counter(obs.CRelationEdges); got != int64(st.Edges) {
 		t.Errorf("relation_edges = %d, want %d", got, st.Edges)
 	}
@@ -308,6 +314,45 @@ func TestRunObservedFlushesCounters(t *testing.T) {
 	if rec.Counter(obs.CSCCPushes) != 3 || rec.Counter(obs.CSCCPops) != 3 {
 		t.Errorf("pushes/pops = %d/%d, want 3/3",
 			rec.Counter(obs.CSCCPushes), rec.Counter(obs.CSCCPops))
+	}
+}
+
+// wideRelation returns m independent source nodes all reading one
+// shared sink: enough edges and frames for a budget to trip mid-solve.
+func wideRelation(m int) (n int, adj [][]int, f []bitset.Set) {
+	n = m + 1
+	adj = make([][]int, n)
+	inits := make([][]int, n)
+	inits[0] = []int{0} // the sink
+	for i := 1; i < n; i++ {
+		adj[i] = []int{0}
+		inits[i] = []int{i % 60}
+	}
+	return n, adj, seeds(inits, n)
+}
+
+// TestRunBudgetedPreCancelled: a pre-cancelled context aborts the
+// traversal at its first checkpoint.
+func TestRunBudgetedPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	bud := guard.New(ctx, guard.Limits{CheckEvery: 1}, nil)
+	n, adj, f := wideRelation(64)
+	_, err := RunBudgeted(n, edgeRel(adj), f, nil, bud)
+	if !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestRunBudgetedEdgeLimit: the relation-edge ceiling trips with the
+// typed limit error once the traversal crosses it.
+func TestRunBudgetedEdgeLimit(t *testing.T) {
+	bud := guard.New(context.Background(), guard.Limits{MaxRelationEdges: 10, CheckEvery: 1}, nil)
+	n, adj, f := wideRelation(64)
+	_, err := RunBudgeted(n, edgeRel(adj), f, nil, bud)
+	var limit *guard.ErrLimitExceeded
+	if !errors.As(err, &limit) || limit.Resource != guard.ResRelationEdges {
+		t.Fatalf("err = %v, want ErrLimitExceeded on %s", err, guard.ResRelationEdges)
 	}
 }
 

@@ -2,6 +2,7 @@ package grammars
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -50,7 +51,8 @@ func TestCorpusProperties(t *testing.T) {
 	}
 }
 
-// Every corpus grammar: DP == propagation == canonical merge, exactly.
+// Every corpus grammar: DP == propagation == canonical merge, exactly,
+// and the lazy path reports the same conflicts as DP.
 func TestCorpusMethodAgreement(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -74,6 +76,14 @@ func TestCorpusMethodAgreement(t *testing.T) {
 							grammar.TerminalSetNames(g, merged[q][i]))
 					}
 				}
+			}
+			// The lazy path gives adequate states default reductions, so
+			// its LA sets differ from DP's there; what it promises is the
+			// same conflict report.
+			full := lalrtable.Build(a, dp.Sets()).Conflicts
+			lazy := lalrtable.Build(a, core.ComputeLazy(a).Sets()).Conflicts
+			if !reflect.DeepEqual(lazy, full) {
+				t.Fatalf("lazy conflicts differ from DP's: %d vs %d", len(lazy), len(full))
 			}
 		})
 	}

@@ -18,8 +18,6 @@
 package prop
 
 import (
-	"sync"
-
 	"repro/internal/bitset"
 	"repro/internal/grammar"
 	"repro/internal/guard"
@@ -36,14 +34,7 @@ func dummy(g *grammar.Grammar) int { return g.NumTerminals() }
 // a.States[q].Reductions[i].  Rounds reports how many full propagation
 // sweeps were needed (the quantity the paper's cost argument is about).
 func Compute(a *lr0.Automaton) (sets [][]bitset.Set, rounds int) {
-	return ComputeObserved(a, nil)
-}
-
-// ComputeObserved is Compute with the three phases (closure discovery,
-// propagation, read-off) bracketed in spans and the propagation-graph
-// size and sweep counts recorded into rec (which may be nil).
-func ComputeObserved(a *lr0.Automaton, rec *obs.Recorder) (sets [][]bitset.Set, rounds int) {
-	sets, rounds, err := ComputeBudgeted(a, rec, nil)
+	sets, rounds, err := ComputeBudgeted(a, nil, nil)
 	if err != nil {
 		// A nil Budget enforces nothing; no error is possible.
 		panic(err)
@@ -51,29 +42,14 @@ func ComputeObserved(a *lr0.Automaton, rec *obs.Recorder) (sets [][]bitset.Set, 
 	return sets, rounds
 }
 
-// ComputeBudgeted is ComputeObserved under a resource budget: the
-// discovery and read-off closures checkpoint per kernel item, the
-// propagation fixpoint per source node, and the propagation-graph edge
-// count trips guard.ResRelationEdges.  A nil Budget makes it identical
-// to ComputeObserved.
+// ComputeBudgeted is Compute with the three phases (closure discovery,
+// propagation, read-off) bracketed in spans, the propagation-graph size
+// and sweep counts recorded into rec (which may be nil), and under a
+// resource budget: the discovery and read-off closures checkpoint per
+// kernel item and per state, the propagation fixpoint per source node,
+// and the propagation-graph edge count trips guard.ResRelationEdges.
+// A nil Recorder and a nil Budget make it identical to Compute.
 func ComputeBudgeted(a *lr0.Automaton, rec *obs.Recorder, bud *guard.Budget) (sets [][]bitset.Set, rounds int, err error) {
-	return computeWith(a, 0, rec, bud)
-}
-
-// ComputeWith is ComputeBudgeted with the read-off phase (step 3, one
-// LR(1) closure per state) fanned out over workers goroutines.  States
-// are split into contiguous chunks, each worker gets its own closer (the
-// closure scratch is stateful) and a forked budget, and every reduction
-// set lives in its own arena segment, so the fan-out needs no locks.
-// The discovery and propagation fixpoints stay serial: discovery writes
-// lookaheads into arbitrary target states and the fixpoint is order-
-// dependent.  Results are byte-identical to the serial path.  workers
-// <= 1 keeps everything serial.
-func ComputeWith(a *lr0.Automaton, workers int, rec *obs.Recorder, bud *guard.Budget) (sets [][]bitset.Set, rounds int, err error) {
-	return computeWith(a, workers, rec, bud)
-}
-
-func computeWith(a *lr0.Automaton, workers int, rec *obs.Recorder, bud *guard.Budget) (sets [][]bitset.Set, rounds int, err error) {
 	g := a.G
 
 	// Kernel item lookahead storage: id = kernelBase[q] + ordinal.
@@ -184,12 +160,11 @@ func computeWith(a *lr0.Automaton, workers int, rec *obs.Recorder, bud *guard.Bu
 	redSets := bitset.NewArena(redBase[len(a.States)], g.NumTerminals()).Sets()
 	sets = make([][]bitset.Set, len(a.States))
 
-	// Each state's read-off touches only its own arena segment and the
-	// (now read-only) converged kernel lookaheads, so states are
-	// independent; the only shared mutable state is the closure scratch,
-	// which the parallel path instantiates per worker.
-	readoffState := func(q int, cl *closer) {
-		s := a.States[q]
+	for q, s := range a.States {
+		if cerr := bud.Check(); cerr != nil {
+			sp.End()
+			return nil, rounds, cerr
+		}
 		base := redBase[q]
 		sets[q] = redSets[base:redBase[q+1]:redBase[q+1]]
 		seeds := make([]bitset.Set, len(s.Kernel))
@@ -213,62 +188,8 @@ func computeWith(a *lr0.Automaton, workers int, rec *obs.Recorder, bud *guard.Bu
 			})
 		}
 	}
-
-	if err := readoff(a, workers, cl, bud, readoffState); err != nil {
-		sp.End()
-		return nil, rounds, err
-	}
 	sp.End()
 	return sets, rounds, nil
-}
-
-// readoff drives readoffState over every state: serially on the caller's
-// closer for workers <= 1, otherwise over contiguous state chunks with a
-// fresh closer and a forked budget per worker (guard.Budget and the
-// closure scratch are both single-goroutine).  Worker checkpoints fire
-// once per state, matching the serial cadence; Join folds the forked
-// checkpoint counts back and surfaces the first violation in worker
-// order.
-func readoff(a *lr0.Automaton, workers int, cl *closer, bud *guard.Budget, readoffState func(q int, cl *closer)) error {
-	n := len(a.States)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for q := 0; q < n; q++ {
-			if err := bud.Check(); err != nil {
-				return err
-			}
-			readoffState(q, cl)
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	children := make([]*guard.Budget, workers)
-	for wi := 0; wi < workers; wi++ {
-		lo := wi * n / workers
-		hi := (wi + 1) * n / workers
-		child := bud.Fork()
-		children[wi] = child
-		wg.Add(1)
-		go func(lo, hi int, child *guard.Budget) {
-			defer wg.Done()
-			wcl := newCloser(a)
-			for q := lo; q < hi; q++ {
-				if child.Check() != nil {
-					return
-				}
-				readoffState(q, wcl)
-			}
-		}(lo, hi, child)
-	}
-	wg.Wait()
-	for wi := 0; wi < workers; wi++ {
-		if err := bud.Join(children[wi]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func reductionOrdinal(reductions []int, prod int) int {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/grammar"
-	"repro/internal/grammars"
 	"repro/internal/lr0"
 )
 
@@ -96,34 +95,4 @@ a : | 'a' ;
 		}
 	}
 	t.Fatal("ε-reduction not found in state 0")
-}
-
-// TestComputeWithParallelReadoffMatchesSerial: the parallel read-off
-// must produce byte-identical look-ahead sets to the serial pass on
-// every corpus grammar (the chunked workers own disjoint arena
-// segments and per-worker closure scratch).
-func TestComputeWithParallelReadoffMatchesSerial(t *testing.T) {
-	for _, e := range grammars.All() {
-		g := grammars.MustLoad(e.Name)
-		a := lr0.New(g, grammar.Analyze(g))
-		serial, roundsS, err := ComputeWith(a, 0, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, roundsP, err := ComputeWith(a, 4, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if roundsS != roundsP {
-			t.Fatalf("%s: rounds diverge: %d vs %d", e.Name, roundsS, roundsP)
-		}
-		for q := range serial {
-			for i := range serial[q] {
-				if !serial[q][i].Equal(par[q][i]) {
-					t.Fatalf("%s: LA[%d][%d] diverges: %v vs %v", e.Name, q, i,
-						serial[q][i].Elems(), par[q][i].Elems())
-				}
-			}
-		}
-	}
 }

@@ -170,12 +170,6 @@ type Options struct {
 	// Limits bound the resources the analysis may consume.  The zero
 	// value is unlimited; a violation yields a *LimitError.
 	Limits Limits
-	// Parallelism is the worker fan-out for the phases that support it:
-	// the two Digraph fixpoint solves of MethodDeRemerPennello (by SCC-
-	// condensation level) and the read-off closures of
-	// MethodPropagation (by state).  Values <= 1 keep the pipeline
-	// serial; any value yields byte-identical results.
-	Parallelism int
 }
 
 // Result is the outcome of Analyze.
@@ -208,10 +202,9 @@ func LoadGrammar(filename, src string) (*Grammar, error) {
 // lalrbench metrics documents (failed runs record the fingerprint next
 // to their error, successful runs next to their measurements).
 //
-// Execution-only options — Recorder, Context, Limits, Parallelism — do
-// not change what an analysis computes (parallel and serial solves are
-// byte-identical), only whether and how fast it is allowed to finish,
-// and are deliberately excluded from the address.
+// Execution-only options — Recorder, Context, Limits — do not change
+// what an analysis computes, only whether it is allowed to finish, and
+// are deliberately excluded from the address.
 func Fingerprint(src string, opts Options) string {
 	return cache.Fingerprint(src, opts.Method.String())
 }
@@ -251,9 +244,7 @@ func Analyze(g *Grammar, opts Options) (res *Result, err error) {
 	sp = rec.Start("lookahead-" + opts.Method.String())
 	switch opts.Method {
 	case MethodDeRemerPennello:
-		res.DP, err = core.ComputeWith(a, core.Options{
-			Workers: opts.Parallelism, Recorder: rec, Budget: bud,
-		})
+		res.DP, err = core.ComputeBudgeted(a, rec, bud)
 		if err == nil {
 			res.Lookahead = res.DP.Sets()
 		}
@@ -263,7 +254,7 @@ func Analyze(g *Grammar, opts Options) (res *Result, err error) {
 		// bracket it.
 		res.Lookahead = slr.Compute(a)
 	case MethodPropagation:
-		res.Lookahead, _, err = prop.ComputeWith(a, opts.Parallelism, rec, bud)
+		res.Lookahead, _, err = prop.ComputeBudgeted(a, rec, bud)
 	case MethodCanonicalMerge:
 		var m *lr1.Machine
 		if m, err = lr1.NewBudgeted(g, an, bud); err == nil {
