@@ -15,7 +15,7 @@ build:
 # protocol with stdlib only): nilrecorder enforces the nil-receiver
 # guard pattern on exported obs and telemetry methods; guardloop
 # requires every potentially unbounded loop in the search and fixpoint
-# engines (ambig, cluster, digraph, glr, treecount) to hit a guard.Budget
+# engines (ambig, cluster, digraph, glr, lint, treecount) to hit a guard.Budget
 # checkpoint or carry an explicit //guardloop:ok waiver.  First, any
 # Go file gofmt would rewrite fails the target, named.
 vet:

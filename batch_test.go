@@ -20,43 +20,53 @@ func batchCorpus(t *testing.T) []*repro.Grammar {
 
 // TestAnalyzeAllEqualsSerial: batch analysis must be indistinguishable
 // from serial Analyze calls — same look-ahead sets, same table
-// adequacy, positionally matched to the input.
+// adequacy, positionally matched to the input — at any worker count.
 func TestAnalyzeAllEqualsSerial(t *testing.T) {
 	gs := batchCorpus(t)
-	results, err := repro.AnalyzeAll(gs, repro.BatchOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := make([]*repro.Result, len(gs))
 	for i, g := range gs {
-		want, err := repro.Analyze(g, repro.Options{})
+		res, err := repro.Analyze(g, repro.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := results[i]
-		if got == nil || got.Grammar != g {
-			t.Fatalf("result %d does not belong to input %d", i, i)
+		want[i] = res
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		results, err := repro.AnalyzeAll(gs, repro.BatchOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(got.Lookahead) != len(want.Lookahead) {
-			t.Fatalf("%s: state counts differ", g.Name())
+		if len(results) != len(gs) {
+			t.Fatalf("workers=%d: got %d results, want %d", workers, len(results), len(gs))
 		}
-		for q := range want.Lookahead {
-			for r := range want.Lookahead[q] {
-				if !got.Lookahead[q][r].Equal(want.Lookahead[q][r]) {
-					t.Errorf("%s: LA[%d][%d] = %v, want %v", g.Name(), q, r,
-						got.Lookahead[q][r], want.Lookahead[q][r])
+		for i, g := range gs {
+			got, want := results[i], want[i]
+			if got == nil || got.Grammar != g {
+				t.Fatalf("workers=%d: result %d does not belong to input %d", workers, i, i)
+			}
+			if len(got.Lookahead) != len(want.Lookahead) {
+				t.Fatalf("workers=%d: %s: state counts differ", workers, g.Name())
+			}
+			for q := range want.Lookahead {
+				for r := range want.Lookahead[q] {
+					if !got.Lookahead[q][r].Equal(want.Lookahead[q][r]) {
+						t.Errorf("workers=%d: %s: LA[%d][%d] = %v, want %v", workers, g.Name(), q, r,
+							got.Lookahead[q][r], want.Lookahead[q][r])
+					}
 				}
 			}
-		}
-		gsr, grr := got.Tables.Unresolved()
-		wsr, wrr := want.Tables.Unresolved()
-		if gsr != wsr || grr != wrr {
-			t.Errorf("%s: conflicts %d/%d, want %d/%d", g.Name(), gsr, grr, wsr, wrr)
+			gsr, grr := got.Tables.Unresolved()
+			wsr, wrr := want.Tables.Unresolved()
+			if gsr != wsr || grr != wrr {
+				t.Errorf("workers=%d: %s: conflicts %d/%d, want %d/%d", workers, g.Name(), gsr, grr, wsr, wrr)
+			}
 		}
 	}
 }
 
 // TestAnalyzeAllMergedRecorder: the batch recorder's counters must equal
-// a serial run's with the same single recorder.
+// a serial run's with the same single recorder, and each grammar's
+// phase tree must arrive as one root span.
 func TestAnalyzeAllMergedRecorder(t *testing.T) {
 	gs := batchCorpus(t)
 
@@ -83,6 +93,9 @@ func TestAnalyzeAllMergedRecorder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("counter %s = %d, want %d", want[i].Name, got[i].Value, want[i].Value)
 		}
+	}
+	if got := len(batch.ExportData().Phases); got != len(gs) {
+		t.Errorf("merged recorder has %d root spans, want one per grammar (%d)", got, len(gs))
 	}
 }
 

@@ -23,8 +23,6 @@
 package ambig
 
 import (
-	"fmt"
-
 	"repro/internal/bitset"
 	"repro/internal/cex"
 	"repro/internal/glr"
@@ -261,22 +259,6 @@ func New(a *lr0.Automaton, sets [][]bitset.Set, cfg Config) *Walker {
 func undecided(c lalrtable.Conflict, st Stats, reason string) Verdict {
 	st.Reason = reason
 	return Verdict{Conflict: c, Kind: Undecided, Stats: st}
-}
-
-// Describe renders a verdict for diagnostics: the witness and both
-// derivations for Ambiguous, the stop reason otherwise.
-func (v *Verdict) Describe(g *grammar.Grammar) string {
-	switch v.Kind {
-	case Ambiguous:
-		return fmt.Sprintf("sentence %q has %d derivations (%d trees)",
-			sentence(g, v.Witness), v.Derivations, v.Trees)
-	case Unambiguous:
-		return fmt.Sprintf("no ambiguous sentence within %d tokens of the conflict (%d configurations)",
-			v.Stats.MaxLen, v.Stats.Pairs)
-	default:
-		return fmt.Sprintf("search stopped (%s) after %d configurations, %d still queued",
-			v.Stats.Reason, v.Stats.Pairs, v.Stats.Frontier)
-	}
 }
 
 // sentence renders a terminal string with space-separated symbol names.

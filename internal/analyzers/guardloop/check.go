@@ -22,6 +22,7 @@ var checkedPackages = map[string]bool{
 	"cluster":   true,
 	"digraph":   true,
 	"glr":       true,
+	"lint":      true,
 	"treecount": true,
 }
 

@@ -1,7 +1,7 @@
 // Command guardloop is a `go vet -vettool` checker enforcing the
 // resource-governance contract of the search and fixpoint engines:
 // every potentially unbounded loop in packages ambig, cluster, digraph,
-// glr and treecount — a `for` statement with no post clause, i.e.
+// glr, lint and treecount — a `for` statement with no post clause, i.e.
 // `for {}` or a while-style work-list loop — must call a guard.Budget
 // checkpoint (`.Check(...)` or `.Limit(...)`) somewhere in its body, so
 // that a cancelled context or an exceeded deadline can always stop it.
@@ -18,7 +18,7 @@
 //
 // The analysis is syntactic (go/ast, no type checking): any method
 // call named Check or Limit counts as a checkpoint.  That
-// approximation is exact for the five packages the checker inspects,
+// approximation is exact for the six packages the checker inspects,
 // where those names are only used by guard.Budget.
 //
 // Run it as:

@@ -192,27 +192,6 @@ func (gen *Generator) Expand(syms []grammar.Sym) []grammar.Sym {
 	return out
 }
 
-// PathForState returns the state sequence of the shortest-prefix path
-// from the start state to state, both inclusive — exactly the parse
-// stack an LR parser holds on entering the state along ForState's
-// prefix (each path symbol fully reduced).  It returns nil if the state
-// is unreachable by terminal-derivable paths.
-func (gen *Generator) PathForState(state int) []int {
-	if gen.dist[state] >= lenCap {
-		return nil
-	}
-	var rev []int
-	for q := state; q != 0; q = gen.via[q].from {
-		rev = append(rev, q)
-	}
-	out := make([]int, 0, len(rev)+1)
-	out = append(out, 0)
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
-	}
-	return out
-}
-
 // ForConflict builds the counterexample for a conflict.
 func (gen *Generator) ForConflict(c lalrtable.Conflict) *Example {
 	prefix := gen.ForState(c.State)

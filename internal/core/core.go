@@ -87,14 +87,7 @@ func (r *Result) Exact() bool { return r.ReadsStats != nil && !r.ReadsStats.Cycl
 // Compute runs the DeRemer–Pennello algorithm on a, reusing its grammar
 // analysis.
 func Compute(a *lr0.Automaton) *Result {
-	return ComputeObserved(a, nil)
-}
-
-// ComputeObserved is Compute with per-phase spans and cost-model
-// counters recorded into rec (which may be nil, making it identical to
-// Compute).
-func ComputeObserved(a *lr0.Automaton, rec *obs.Recorder) *Result {
-	r, err := ComputeBudgeted(a, rec, nil)
+	r, err := ComputeBudgeted(a, nil, nil)
 	if err != nil {
 		// A nil Budget enforces nothing; no error is possible.
 		panic(err)
@@ -102,11 +95,12 @@ func ComputeObserved(a *lr0.Automaton, rec *obs.Recorder) *Result {
 	return r
 }
 
-// ComputeBudgeted is ComputeObserved under a resource budget: the
+// ComputeBudgeted is Compute with per-phase spans and cost-model
+// counters recorded into rec, under a resource budget: the
 // relation-construction sweeps checkpoint per nonterminal transition
 // and trip guard.ResRelationEdges as edges are built, and both Digraph
-// passes run budgeted.  A nil Budget makes it identical to
-// ComputeObserved.
+// passes run budgeted.  A nil Recorder and a nil Budget make it
+// identical to Compute.
 func ComputeBudgeted(a *lr0.Automaton, rec *obs.Recorder, bud *guard.Budget) (*Result, error) {
 	return computeWith(a, false, rec, bud)
 }
@@ -152,7 +146,7 @@ func computeWith(a *lr0.Automaton, naive bool, rec *obs.Recorder, bud *guard.Bud
 	readArena := r.drArena.Clone()
 	r.Read = readArena.Sets()
 	if naive {
-		digraph.RunNaiveObserved(n, sliceRel(r.Reads), r.Read, rec)
+		digraph.RunNaive(n, sliceRel(r.Reads), r.Read)
 	} else {
 		r.ReadsStats, err = digraph.RunBudgeted(n, sliceRel(r.Reads), r.Read, rec, bud)
 	}
@@ -166,7 +160,7 @@ func computeWith(a *lr0.Automaton, naive bool, rec *obs.Recorder, bud *guard.Bud
 	bud.Phase("solve-includes")
 	r.Follow = readArena.Clone().Sets()
 	if naive {
-		digraph.RunNaiveObserved(n, sliceRel(r.Includes), r.Follow, rec)
+		digraph.RunNaive(n, sliceRel(r.Includes), r.Follow)
 	} else {
 		r.IncludesStats, err = digraph.RunBudgeted(n, sliceRel(r.Includes), r.Follow, rec, bud)
 	}

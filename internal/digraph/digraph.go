@@ -40,6 +40,9 @@ type Stats struct {
 	SelfLoops        int // nodes x with x R x
 	LargestSCC       int
 	NontrivialMember []bool // per node: in a nontrivial SCC or self-loop
+	// Comp is each node's component number, in the order components
+	// close: x and y reach each other exactly when Comp[x] == Comp[y].
+	Comp []int32
 }
 
 // Cyclic reports whether the relation has any nontrivial cycle.
@@ -85,6 +88,12 @@ func RunBudgeted(n int, rel Succ, f []bitset.Set, rec *obs.Recorder, bud *guard.
 			}
 		}
 	}
+	// Every node is completed, depth[x] = -(component+1): decode in
+	// place, so the component numbers cost no allocation of their own.
+	for x, c := range d.depth {
+		d.depth[x] = -c - 1
+	}
+	d.stats.Comp = d.depth
 	if rec != nil {
 		// Every node is pushed and popped exactly once.
 		rec.Add(obs.CRelationEdges, int64(d.stats.Edges))
@@ -96,18 +105,16 @@ func RunBudgeted(n int, rel Succ, f []bitset.Set, rec *obs.Recorder, bud *guard.
 	return &d.stats, nil
 }
 
-const (
-	unvisited int32 = 0
-	completed int32 = -1 // "infinity" in the paper's presentation
-)
+const unvisited int32 = 0
 
 type runner struct {
 	rel   Succ
 	f     []bitset.Set
 	bud   *guard.Budget
 	stack []int32
-	// depth[x]: 0 = unvisited, -1 = completed, otherwise 1-based stack
-	// depth at which x was pushed.
+	// depth[x]: 0 = unvisited, > 0 = on the stack at that 1-based
+	// depth, < 0 = completed in component -depth[x]-1 (the paper's
+	// "infinity", with the component number folded in).
 	depth []int32
 	low   []int32
 	stats Stats
@@ -160,7 +167,7 @@ func (r *runner) traverse(root int) error {
 			if y == x {
 				fr.selfLoop = true
 			}
-			if r.depth[y] != completed && r.low[y] < r.low[x] {
+			if r.depth[y] > 0 && r.low[y] < r.low[x] {
 				// y is on the stack: x and y are in the same SCC candidate.
 				r.low[x] = r.low[y]
 			}
@@ -183,7 +190,7 @@ func (r *runner) traverse(root int) error {
 			for {
 				top := int(r.stack[len(r.stack)-1])
 				r.stack = r.stack[:len(r.stack)-1]
-				r.depth[top] = completed
+				r.depth[top] = -int32(r.stats.SCCs)
 				size++
 				if top == x {
 					break
@@ -227,14 +234,6 @@ func (r *runner) push(x int) {
 // O(edges) unions per round for as many rounds as the longest chain) and
 // as a differential-testing oracle for Run.
 func RunNaive(n int, rel Succ, f []bitset.Set) (rounds int) {
-	return RunNaiveObserved(n, rel, f, nil)
-}
-
-// RunNaiveObserved is RunNaive with observability; the counters make
-// the baseline's superlinearity visible next to Digraph's one-union-
-// per-edge profile.
-func RunNaiveObserved(n int, rel Succ, f []bitset.Set, rec *obs.Recorder) (rounds int) {
-	unions := 0
 	// Monotone fixpoint over finite sets: each round either grows some
 	// f[x] or is the last.  Deliberately unbudgeted — it is the
 	// differential-testing baseline and must not share failure modes
@@ -245,17 +244,11 @@ func RunNaiveObserved(n int, rel Succ, f []bitset.Set, rec *obs.Recorder) (round
 		rounds++
 		for x := 0; x < n; x++ {
 			rel(x, func(y int) {
-				unions++
 				if f[x].Or(f[y]) {
 					changed = true
 				}
 			})
 		}
-	}
-	if rec != nil {
-		rec.Add(obs.CNaiveRounds, int64(rounds))
-		rec.Add(obs.CRelationEdges, int64(unions))
-		rec.Add(obs.CBitsetUnions, int64(unions))
 	}
 	return rounds
 }

@@ -229,23 +229,33 @@ func TestStatsLargestSCCMultipleComponents(t *testing.T) {
 	}
 }
 
-// refCyclic is a brute-force oracle: the relation has a nontrivial
-// cycle iff some node reaches itself through at least one edge.
-func refCyclic(n int, adj [][]int) bool {
-	for s := 0; s < n; s++ {
+// refReach is a brute-force oracle: reach[s][x] holds when s reaches x
+// through at least one edge.
+func refReach(n int, adj [][]int) [][]bool {
+	reach := make([][]bool, n)
+	for s := range reach {
 		seen := make([]bool, n)
 		stack := append([]int(nil), adj[s]...)
 		for len(stack) > 0 {
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if x == s {
-				return true
-			}
 			if seen[x] {
 				continue
 			}
 			seen[x] = true
 			stack = append(stack, adj[x]...)
+		}
+		reach[s] = seen
+	}
+	return reach
+}
+
+// refCyclic: the relation has a nontrivial cycle iff some node reaches
+// itself through at least one edge.
+func refCyclic(reach [][]bool) bool {
+	for s := range reach {
+		if reach[s][s] {
+			return true
 		}
 	}
 	return false
@@ -264,7 +274,8 @@ func TestCyclicAgreesWithStatsOnRandomGraphs(t *testing.T) {
 			inits[i] = []int{i}
 		}
 		st := Run(n, edgeRel(adj), seeds(inits, n))
-		if got, want := st.Cyclic(), refCyclic(n, adj); got != want {
+		reach := refReach(n, adj)
+		if got, want := st.Cyclic(), refCyclic(reach); got != want {
 			t.Fatalf("trial %d: Cyclic() = %v, oracle = %v (adj=%v, stats=%+v)",
 				trial, got, want, adj, st)
 		}
@@ -276,6 +287,25 @@ func TestCyclicAgreesWithStatsOnRandomGraphs(t *testing.T) {
 		}
 		if st.Cyclic() != member {
 			t.Fatalf("trial %d: Cyclic() = %v but NontrivialMember any = %v", trial, st.Cyclic(), member)
+		}
+		// Comp numbers the SCCs 0..SCCs-1 in closing order: x and y
+		// share a component exactly when they reach each other, and a
+		// component closes before every component that reaches it.
+		for x := 0; x < n; x++ {
+			if c := st.Comp[x]; c < 0 || int(c) >= st.SCCs {
+				t.Fatalf("trial %d: Comp[%d] = %d outside [0, %d)", trial, x, c, st.SCCs)
+			}
+			for y := 0; y < n; y++ {
+				mutual := x == y || reach[x][y] && reach[y][x]
+				if same := st.Comp[x] == st.Comp[y]; same != mutual {
+					t.Fatalf("trial %d: Comp[%d] = %d, Comp[%d] = %d, mutual reach = %v (adj=%v)",
+						trial, x, st.Comp[x], y, st.Comp[y], mutual, adj)
+				}
+				if reach[x][y] && !mutual && st.Comp[y] >= st.Comp[x] {
+					t.Fatalf("trial %d: %d reaches %d but its component %d closed first (Comp[%d] = %d)",
+						trial, x, y, st.Comp[x], y, st.Comp[y])
+				}
+			}
 		}
 	}
 }
@@ -353,18 +383,6 @@ func TestRunBudgetedEdgeLimit(t *testing.T) {
 	var limit *guard.ErrLimitExceeded
 	if !errors.As(err, &limit) || limit.Resource != guard.ResRelationEdges {
 		t.Fatalf("err = %v, want ErrLimitExceeded on %s", err, guard.ResRelationEdges)
-	}
-}
-
-func TestRunNaiveObservedFlushesCounters(t *testing.T) {
-	rec := obs.New()
-	adj := [][]int{{1}, {}}
-	rounds := RunNaiveObserved(2, edgeRel(adj), seeds([][]int{{0}, {1}}, 2), rec)
-	if got := rec.Counter(obs.CNaiveRounds); got != int64(rounds) {
-		t.Errorf("naive_rounds = %d, want %d", got, rounds)
-	}
-	if rec.Counter(obs.CBitsetUnions) == 0 {
-		t.Error("naive run recorded no unions")
 	}
 }
 

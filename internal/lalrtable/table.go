@@ -159,13 +159,7 @@ func (t *Tables) Adequate() bool {
 // sets[q][i] is the look-ahead for a.States[q].Reductions[i] (the shape
 // every method in this module produces).
 func Build(a *lr0.Automaton, sets [][]bitset.Set) *Tables {
-	return BuildObserved(a, sets, nil)
-}
-
-// BuildObserved is Build with a table-build span and entry/conflict
-// counters recorded into rec (which may be nil).
-func BuildObserved(a *lr0.Automaton, sets [][]bitset.Set, rec *obs.Recorder) *Tables {
-	t, err := BuildBudgeted(a, sets, rec, nil)
+	t, err := BuildBudgeted(a, sets, nil, nil)
 	if err != nil {
 		// A nil Budget enforces nothing; no error is possible.
 		panic(err)
@@ -173,11 +167,12 @@ func BuildObserved(a *lr0.Automaton, sets [][]bitset.Set, rec *obs.Recorder) *Ta
 	return t
 }
 
-// BuildBudgeted is BuildObserved under a resource budget: the fill loop
+// BuildBudgeted is Build with a table-build span and entry/conflict
+// counters recorded into rec, under a resource budget: the fill loop
 // checkpoints cancellation once per state row and trips
 // guard.ResTableEntries when the installed ACTION/GOTO entry count
-// crosses Limits.MaxTableEntries.  A nil Budget makes it identical to
-// BuildObserved.
+// crosses Limits.MaxTableEntries.  A nil Recorder and a nil Budget make
+// it identical to Build.
 func BuildBudgeted(a *lr0.Automaton, sets [][]bitset.Set, rec *obs.Recorder, bud *guard.Budget) (*Tables, error) {
 	sp := rec.Start("table-build")
 	defer bud.Phase(bud.Phase("table-build"))

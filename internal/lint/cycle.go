@@ -1,138 +1,65 @@
 package lint
 
-// Cycle analysis shared by the relation passes: Tarjan SCCs over a
-// small adjacency-function graph, plus shortest-cycle extraction so a
-// diagnostic can print a concrete witness path instead of just "the
-// relation is cyclic".  Graphs here are tiny (nonterminals or
-// nonterminal transitions), so clarity beats constant factors.
+// Cycle analysis shared by the relation passes.  The strongly connected
+// components come from the Digraph traversal: the look-ahead solve's
+// own for reads and includes, a run with zero-width sets for the
+// derivation graphs.  Lint searches for no SCCs itself; it groups the
+// traversal's components and extracts a shortest cycle, so a diagnostic
+// can print a concrete witness path instead of just "the relation is
+// cyclic".
 
-// succFunc enumerates the successors of node x.
-type succFunc func(x int) []int
+import (
+	"repro/internal/bitset"
+	"repro/internal/digraph"
+)
 
-// cyclicComponents returns the nontrivial SCCs of the graph — the
-// components with ≥2 nodes, plus single nodes carrying a self-loop —
-// ordered by their smallest member, members ascending.  This is the
-// witness-producing complement of digraph.Stats.Cyclic.
-func cyclicComponents(n int, succ succFunc) [][]int {
-	// Iterative Tarjan.
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	comp := make([]int, n)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = -1
+// components runs Digraph over an adjacency list for its SCC structure
+// alone: zero-width sets make every union free.
+func components(adj [][]int) *digraph.Stats {
+	rel := func(x int, yield func(int)) {
+		for _, y := range adj[x] {
+			yield(y)
+		}
 	}
-	var (
-		stack  []int
-		next   int
-		comps  [][]int
-		frames []frameT
-	)
-	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
+	return digraph.Run(len(adj), rel, make([]bitset.Set, len(adj)))
+}
+
+// cyclic groups the nontrivial SCCs of a traversal — the components
+// with ≥2 nodes, plus single nodes carrying a self-loop — ordered by
+// their smallest member, members ascending.  This is the
+// witness-producing complement of digraph.Stats.Cyclic.
+func cyclic(st *digraph.Stats) [][]int {
+	slot := make([]int, st.SCCs) // 1 + index into out, 0 until seen
+	var out [][]int
+	for x, member := range st.NontrivialMember {
+		if !member {
 			continue
 		}
-		frames = append(frames[:0], frameT{x: root})
-		for len(frames) > 0 {
-			fr := &frames[len(frames)-1]
-			x := fr.x
-			if fr.k == 0 {
-				index[x] = next
-				low[x] = next
-				next++
-				stack = append(stack, x)
-				onStack[x] = true
-			}
-			succs := succ(x)
-			advanced := false
-			for fr.k < len(succs) {
-				y := succs[fr.k]
-				fr.k++
-				if index[y] == unvisited {
-					frames = append(frames, frameT{x: y})
-					advanced = true
-					break
-				}
-				if onStack[y] && low[y] < low[x] {
-					low[x] = low[y]
-				}
-			}
-			if advanced {
-				continue
-			}
-			if low[x] == index[x] {
-				var members []int
-				for {
-					top := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[top] = false
-					comp[top] = len(comps)
-					members = append(members, top)
-					if top == x {
-						break
-					}
-				}
-				comps = append(comps, members)
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if low[x] < low[parent.x] {
-					low[parent.x] = low[x]
-				}
-			}
+		c := st.Comp[x]
+		if slot[c] == 0 {
+			out = append(out, nil)
+			slot[c] = len(out)
 		}
-	}
-
-	var out [][]int
-	for _, members := range comps {
-		nontrivial := len(members) > 1
-		if !nontrivial {
-			x := members[0]
-			for _, y := range succ(x) {
-				if y == x {
-					nontrivial = true
-					break
-				}
-			}
-		}
-		if nontrivial {
-			sortInts(members)
-			out = append(out, members)
-		}
-	}
-	// Order components by smallest member for deterministic reports.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j][0] < out[j-1][0]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+		out[slot[c]-1] = append(out[slot[c]-1], x)
 	}
 	return out
 }
 
-type frameT struct {
-	x, k int
-}
-
 // shortestCycle returns a shortest cycle through start restricted to
-// the given component members, as a node path start, …, start.  BFS
-// from start back to start; deterministic because successors are
-// scanned in adjacency order.
-func shortestCycle(start int, succ succFunc, members []int) []int {
-	inComp := map[int]bool{}
-	for _, m := range members {
-		inComp[m] = true
-	}
+// start's component (comp holds each node's component number), as a
+// node path start, …, start.  BFS from start back to start;
+// deterministic because successors are scanned in adjacency order.
+func shortestCycle[T int | int32](start int, adj [][]T, comp []int32) []int {
 	type bfsEntry struct {
 		node, prev int
 	}
 	order := []bfsEntry{}
 	seen := map[int]bool{}
+	inComp := func(y int) bool { return comp[y] == comp[start] }
 	// Seed with start's successors so a self-loop yields [start, start].
-	for _, y := range succ(start) {
-		if !inComp[y] || seen[y] {
+	for _, t := range adj[start] {
+		y := int(t)
+		if !inComp(y) || seen[y] {
 			continue
 		}
 		if y == start {
@@ -142,7 +69,8 @@ func shortestCycle(start int, succ succFunc, members []int) []int {
 		order = append(order, bfsEntry{y, -1})
 	}
 	for i := 0; i < len(order); i++ {
-		for _, y := range succ(order[i].node) {
+		for _, t := range adj[order[i].node] {
+			y := int(t)
 			if y == start {
 				// Reconstruct: start … node start.
 				var rev []int
@@ -155,7 +83,7 @@ func shortestCycle(start int, succ succFunc, members []int) []int {
 				}
 				return append(path, start)
 			}
-			if !inComp[y] || seen[y] {
+			if !inComp(y) || seen[y] {
 				continue
 			}
 			seen[y] = true
@@ -163,25 +91,4 @@ func shortestCycle(start int, succ succFunc, members []int) []int {
 		}
 	}
 	return nil
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// int32Succ adapts a CSR [][]int32 adjacency (the shape core.Result
-// stores reads/includes in) to succFunc.
-func int32Succ(adj [][]int32) succFunc {
-	return func(x int) []int {
-		row := adj[x]
-		out := make([]int, len(row))
-		for i, y := range row {
-			out[i] = int(y)
-		}
-		return out
-	}
 }

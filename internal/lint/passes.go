@@ -122,9 +122,9 @@ var nullableCyclesAnalyzer = &Analyzer{
 	Run: func(p *Pass) {
 		g := p.G
 		adj, witness := derivationEdges(p)
-		succ := func(x int) []int { return adj[x] }
-		for _, comp := range cyclicComponents(g.NumNonterminals(), succ) {
-			cyc := shortestCycle(comp[0], succ, comp)
+		st := components(adj)
+		for _, comp := range cyclic(st) {
+			cyc := shortestCycle(comp[0], adj, st.Comp)
 			if cyc == nil {
 				continue
 			}
@@ -174,17 +174,13 @@ var leftRecursionAnalyzer = &Analyzer{
 				}
 			}
 		}
-		succ := func(x int) []int { return adj[x] }
-		for _, comp := range cyclicComponents(g.NumNonterminals(), succ) {
-			inComp := map[int]bool{}
-			for _, m := range comp {
-				inComp[m] = true
-			}
+		st := components(adj)
+		for _, comp := range cyclic(st) {
 			for _, nt := range comp {
 				d := NewDiag(CodeLeftRecursion, Info,
 					"nonterminal %s is left-recursive", g.SymName(g.NtSym(nt))).AtSym(g.NtSym(nt))
 				for _, b := range adj[nt] {
-					if inComp[b] {
+					if st.Comp[b] == st.Comp[nt] {
 						if pi, ok := witness[[2]int{nt, b}]; ok {
 							d = d.AtProd(pi).With("via %s", g.ProdString(pi))
 						}
@@ -217,25 +213,13 @@ var unitChainsAnalyzer = &Analyzer{
 			}
 		}
 		// Unit cycles are derivation cycles (GL010's territory) and would
-		// make "longest chain" ill-defined: drop every edge inside a
-		// cyclic SCC, leaving an acyclic unit graph.
-		succ := func(x int) []int { return adj[x] }
-		sccOf := make([]int, n)
-		for i := range sccOf {
-			sccOf[i] = -1
-		}
-		for ci, comp := range cyclicComponents(n, succ) {
-			for _, m := range comp {
-				sccOf[m] = ci
-			}
-		}
+		// make "longest chain" ill-defined: drop every edge inside an
+		// SCC, leaving an acyclic unit graph.
+		comp := components(adj).Comp
 		for x := range adj {
-			if sccOf[x] < 0 {
-				continue
-			}
 			kept := adj[x][:0]
 			for _, y := range adj[x] {
-				if sccOf[y] != sccOf[x] {
+				if comp[y] != comp[x] {
 					kept = append(kept, y)
 				}
 			}
@@ -300,9 +284,8 @@ var readsCyclesAnalyzer = &Analyzer{
 		if st == nil || !st.Cyclic() {
 			return
 		}
-		succ := int32Succ(p.DP.Reads)
-		for _, comp := range cyclicComponents(len(p.Auto.NtTrans), succ) {
-			cyc := shortestCycle(comp[0], succ, comp)
+		for _, comp := range cyclic(st) {
+			cyc := shortestCycle(comp[0], p.DP.Reads, st.Comp)
 			if cyc == nil {
 				continue
 			}
@@ -334,22 +317,12 @@ var includesCyclesAnalyzer = &Analyzer{
 		if st == nil || !st.Cyclic() {
 			return
 		}
-		succ := int32Succ(p.DP.Includes)
-		comps := cyclicComponents(len(p.Auto.NtTrans), succ)
-		if len(comps) == 0 {
-			return
-		}
-		largest := 0
-		for _, c := range comps {
-			if len(c) > largest {
-				largest = len(c)
-			}
-		}
+		comps := cyclic(st)
 		nt := p.Auto.NtTrans[comps[0][0]]
 		d := NewDiag(CodeIncludesCycle, Info,
 			"includes relation has %d nontrivial SCC(s) (largest: %d transitions); look-ahead sets stay exact, computed via SCC collapse",
-			len(comps), largest).AtState(nt.From).AtSym(nt.Sym)
-		if cyc := shortestCycle(comps[0][0], succ, comps[0]); cyc != nil {
+			len(comps), st.LargestSCC).AtState(nt.From).AtSym(nt.Sym)
+		if cyc := shortestCycle(comps[0][0], p.DP.Includes, st.Comp); cyc != nil {
 			steps := make([]string, len(cyc))
 			for i, t := range cyc {
 				steps[i] = p.DP.TransString(t)

@@ -101,13 +101,7 @@ type Automaton struct {
 // may be passed to share FIRST/nullable computation; pass nil to compute
 // one.
 func New(g *grammar.Grammar, an *grammar.Analysis) *Automaton {
-	return NewObserved(g, an, nil)
-}
-
-// NewObserved is New with construction phases and machine-size counters
-// recorded into rec (which may be nil, making it identical to New).
-func NewObserved(g *grammar.Grammar, an *grammar.Analysis, rec *obs.Recorder) *Automaton {
-	a, err := NewBudgeted(g, an, rec, nil)
+	a, err := NewBudgeted(g, an, nil, nil)
 	if err != nil {
 		// A nil Budget enforces nothing; no error is possible.
 		panic(err)
@@ -115,10 +109,11 @@ func NewObserved(g *grammar.Grammar, an *grammar.Analysis, rec *obs.Recorder) *A
 	return a
 }
 
-// NewBudgeted is NewObserved under a resource budget: the state
-// work-list checkpoints cancellation once per state expansion and trips
+// NewBudgeted is New with construction phases and machine-size counters
+// recorded into rec, under a resource budget: the state work-list
+// checkpoints cancellation once per state expansion and trips
 // guard.ResLR0States when the collection outgrows Limits.MaxStates.  A
-// nil Budget makes it identical to NewObserved.
+// nil Recorder and a nil Budget make it identical to New.
 func NewBudgeted(g *grammar.Grammar, an *grammar.Analysis, rec *obs.Recorder, bud *guard.Budget) (*Automaton, error) {
 	if an == nil {
 		sp := rec.Start("grammar-analysis")

@@ -69,12 +69,10 @@ const (
 	// CLAUnions counts Follow-set unions into reduction look-aheads
 	// (one per lookback edge contributing to an LA set).
 	CLAUnions = "la_unions"
-	// CNaiveRounds counts chaotic-iteration sweeps of the ablation
-	// baseline; CPropRounds the propagation sweeps of the yacc method;
+	// CPropRounds counts the propagation sweeps of the yacc method;
 	// CPropEdges its propagation-graph edges.
-	CNaiveRounds = "naive_rounds"
-	CPropRounds  = "prop_rounds"
-	CPropEdges   = "prop_edges"
+	CPropRounds = "prop_rounds"
+	CPropEdges  = "prop_edges"
 	// CLR0States / CLR0Transitions size the underlying automaton.
 	CLR0States      = "lr0_states"
 	CLR0Transitions = "lr0_transitions"
