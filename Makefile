@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci build vet test race benchsmoke smoke serve-smoke guard-smoke telemetry-smoke frozen-smoke ambig-smoke cluster-smoke bench metrics lint-corpus
+.PHONY: ci build vet test race benchsmoke smoke serve-smoke guard-smoke telemetry-smoke frozen-smoke ambig-smoke bench metrics lint-corpus
 
-ci: build vet test race smoke serve-smoke benchsmoke guard-smoke telemetry-smoke frozen-smoke ambig-smoke cluster-smoke lint-corpus
+ci: build vet test race smoke serve-smoke benchsmoke guard-smoke telemetry-smoke frozen-smoke ambig-smoke lint-corpus
 
 # The benchmark is a separate module that imports internal/*, so the
 # root build does not compile it; build (output discarded) and vet it
@@ -34,11 +34,13 @@ test:
 # response cache (singleflight, LRU under contention), the server's
 # request handling, the shard-merged telemetry histograms, the frozen
 # store consulted from request goroutines, the per-conflict ambiguity
-# walks, and the cluster peer layer (hedged fetches, breakers, async
-# offers) — run under the race detector, alongside the serial Digraph
-# and prop engines they call.
+# walks, and the cluster peer layer (breakers shared by request
+# goroutines, async offers) — run under the race detector, alongside
+# the serial Digraph and prop engines they call.  The root package's
+# batch tests push real analyses and lint runs through the worker pool.
 race:
 	$(GO) test -race ./internal/driver/... ./internal/cache/... ./internal/server/... ./internal/telemetry/... ./internal/digraph/... ./internal/prop/... ./internal/frozen/... ./internal/ambig/... ./internal/cluster/...
+	$(GO) test -race -run 'TestAnalyzeAll|TestLintAll' .
 
 # One-iteration pass over every benchmark: catches bit-rot in the bench
 # code (and the alloc-regression gates' setup) without paying for real
@@ -89,14 +91,6 @@ guard-smoke:
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
-
-# Fleet smoke (DESIGN.md § 14): a 3-node lalrd fleet on localhost
-# replays the corpus under concurrent load, one node is killed
-# mid-replay, and the run passes only with zero client-visible errors,
-# observed peer fills (X-Repro-Cache: peer), a tripped breaker for the
-# corpse, and /readyz flipping on drain.
-cluster-smoke:
-	$(GO) run ./cmd/lalrd -cluster-smoke
 
 # Ambiguity smoke (DESIGN.md § 13): the prover must reach both proven
 # verdicts on the canonical pair — dangling-else is a true ambiguity

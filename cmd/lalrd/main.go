@@ -20,14 +20,12 @@
 //	-store-dir D    frozen-table store for warm restarts (empty = disabled)
 //	-peers URLS     comma-separated fleet member base URLs, self included
 //	-self URL       this node's own base URL (required with -peers)
-//	-ring-replicas N, -peer-timeout D, -peer-retries N, -hedge-after D,
-//	-breaker-failures N, -breaker-cooldown D
+//	-ring-replicas N, -peer-timeout D, -breaker-failures N,
+//	-breaker-cooldown D
 //	                peer-layer tuning (see DESIGN.md § 14)
 //	-smoke          run the self-contained end-to-end smoke check and exit
 //	-telemetry-smoke run the telemetry end-to-end smoke check and exit
 //	-frozen-smoke   run the frozen-store warm-restart smoke check and exit
-//	-cluster-smoke  run the 3-node fleet smoke check (kill a node under
-//	                load, expect zero client-visible errors) and exit
 //
 // Endpoints: POST /v1/analyze, POST /v1/lint, POST /v1/batch,
 // GET /v1/peer/table/{fp} and PUT (fleet-internal frozen-table
@@ -80,7 +78,6 @@ func run(args []string, out io.Writer) error {
 		smoke    = fs.Bool("smoke", false, "run the end-to-end smoke check against an in-process server and exit")
 		telSmoke = fs.Bool("telemetry-smoke", false, "run the telemetry end-to-end smoke check against an in-process server and exit")
 		frzSmoke = fs.Bool("frozen-smoke", false, "run the frozen-store warm-restart smoke check and exit")
-		clSmoke  = fs.Bool("cluster-smoke", false, "run the 3-node fleet smoke check (node kill under load) and exit")
 	)
 	sf := cliguard.RegisterServer(fs)
 	if err := fs.Parse(args); err != nil {
@@ -109,9 +106,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *frzSmoke {
 		return runFrozenSmoke(out, cfg)
-	}
-	if *clSmoke {
-		return runClusterSmoke(out, cfg)
 	}
 	if ccfg, ok, err := sf.ClusterConfig(); err != nil {
 		return err

@@ -182,16 +182,9 @@ type ServerFlags struct {
 	// RingReplicas is the consistent-hash virtual-node count per peer
 	// (0 = the cluster default).
 	RingReplicas int
-	// PeerTimeout bounds one peer exchange attempt (0 = default).
+	// PeerTimeout bounds a fetch's one exchange with the ring owner
+	// (0 = default).
 	PeerTimeout time.Duration
-	// PeerRetries is how many backed-off retries each peer gets beyond
-	// its first attempt (0 = none; the flag default is the cluster
-	// default).
-	PeerRetries int
-	// HedgeAfter is the owner-silence threshold before a fetch hedges
-	// to the next ring replica (0 = never hedge; the flag default is
-	// the cluster default).
-	HedgeAfter time.Duration
 	// BreakerFailures trips a peer's circuit breaker after that many
 	// consecutive exchange failures.
 	BreakerFailures int
@@ -230,19 +223,15 @@ func RegisterServer(fs *flag.FlagSet) *ServerFlags {
 	fs.StringVar(&f.Peers, "peers", "", "comma-separated fleet member base URLs, this node included (empty = single-node)")
 	fs.StringVar(&f.Self, "self", "", "this node's own base URL as it appears in -peers (required with -peers)")
 	fs.IntVar(&f.RingReplicas, "ring-replicas", 0, "consistent-hash virtual nodes per peer (0 = default)")
-	fs.DurationVar(&f.PeerTimeout, "peer-timeout", cluster.DefaultPeerTimeout, "ceiling for one peer exchange attempt")
-	fs.IntVar(&f.PeerRetries, "peer-retries", cluster.DefaultRetries, "backed-off retries per peer beyond the first attempt (0 = none)")
-	fs.DurationVar(&f.HedgeAfter, "hedge-after", cluster.DefaultHedgeAfter, "owner silence before hedging to the next ring replica (0 = never hedge)")
+	fs.DurationVar(&f.PeerTimeout, "peer-timeout", cluster.DefaultPeerTimeout, "ceiling for a fetch's one exchange with the ring owner")
 	fs.IntVar(&f.BreakerFailures, "breaker-failures", cluster.DefaultBreakerFailures, "consecutive peer failures that trip its circuit breaker")
 	fs.DurationVar(&f.BreakerCooldown, "breaker-cooldown", cluster.DefaultBreakerCooldown, "open period before a tripped breaker probes the peer again")
 	return f
 }
 
 // ClusterConfig translates the fleet flags into a cluster.Config, or
-// reports ok=false when -peers is unset (single-node).  The flag
-// vocabulary treats 0 as "off" (0 retries, never hedge), so the
-// cluster package's "0 = default" sentinels are mapped here; Transport
-// and Verify are the caller's to wire.
+// reports ok=false when -peers is unset (single-node).  Transport and
+// Verify are the caller's to wire.
 func (f *ServerFlags) ClusterConfig() (cfg cluster.Config, ok bool, err error) {
 	peers := f.PeerList()
 	if len(peers) == 0 {
@@ -251,23 +240,14 @@ func (f *ServerFlags) ClusterConfig() (cfg cluster.Config, ok bool, err error) {
 	if f.Self == "" {
 		return cluster.Config{}, false, errors.New("-peers requires -self (this node's own base URL)")
 	}
-	cfg = cluster.Config{
+	return cluster.Config{
 		Self:            strings.TrimSuffix(f.Self, "/"),
 		Peers:           peers,
 		RingReplicas:    f.RingReplicas,
 		PeerTimeout:     f.PeerTimeout,
-		Retries:         f.PeerRetries,
-		HedgeAfter:      f.HedgeAfter,
 		BreakerFailures: f.BreakerFailures,
 		BreakerCooldown: f.BreakerCooldown,
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = -1 // the flag's 0 means none, not "use the default"
-	}
-	if cfg.HedgeAfter == 0 {
-		cfg.HedgeAfter = -1 // likewise: 0 disables hedging
-	}
-	return cfg, true, nil
+	}, true, nil
 }
 
 // Limits returns the per-request resource ceilings the flags imply —

@@ -192,9 +192,8 @@ func (b *Breaker) reset(state BreakerState) {
 }
 
 // Cancel releases an Allow slot whose exchange was abandoned without a
-// verdict (the hedge race was decided elsewhere, the caller gave up):
-// a half-open probe slot is returned so the next caller may probe, and
-// no outcome is recorded either way.
+// verdict (the caller gave up): a half-open probe slot is returned so
+// the next caller may probe, and no outcome is recorded either way.
 func (b *Breaker) Cancel() {
 	b.mu.Lock()
 	defer b.mu.Unlock()

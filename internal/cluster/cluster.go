@@ -12,31 +12,25 @@ import (
 
 // Tunable defaults (each has a -flag on lalrd; see internal/cliguard).
 const (
-	// DefaultPeerTimeout is the per-attempt ceiling for one exchange.
+	// DefaultPeerTimeout is the ceiling for the one exchange a fetch
+	// makes.
 	DefaultPeerTimeout = 2 * time.Second
-	// DefaultRetries is how many times one peer is retried (with
-	// backoff) before the attempt chain gives up on it.
-	DefaultRetries = 2
-	// DefaultHedgeAfter is how long the owner may be silent before a
-	// single hedge fires against the next ring replica.
-	DefaultHedgeAfter = 75 * time.Millisecond
 	// minPeerBudget is the least remaining request deadline worth
 	// spending on the network at all; below it the fetch degrades to
 	// local compute immediately.
 	minPeerBudget = 10 * time.Millisecond
-	// fetchCandidates bounds how many distinct peers one fetch may
-	// try: the owner plus one hedge/fallback replica.
-	fetchCandidates = 2
 )
 
-// ErrNoPeers reports a fleet of one (or a closed cluster): there is
-// nobody to ask, which is not a failure — just the single-node path.
+// ErrNoPeers reports that there is nobody to ask: the fingerprint is
+// this node's own (ownership already put the table in its own store),
+// the fleet has one member, or the cluster is closed.  It is not a
+// failure — just the single-node path.
 var ErrNoPeers = errors.New("cluster: no peers configured")
 
-// ErrUnavailable reports that every candidate peer failed (breaker
-// open, timeouts, transport errors, corrupt bytes).  The caller must
-// degrade to local computation; the error exists for telemetry, never
-// for the client.
+// ErrUnavailable reports that the ring owner could not serve a fill
+// (breaker open, timeout, transport error, corrupt bytes, no budget).
+// The caller must degrade to local computation; the error exists for
+// telemetry, never for the client.
 var ErrUnavailable = errors.New("cluster: peers unavailable")
 
 // Config assembles a Cluster.
@@ -49,20 +43,10 @@ type Config struct {
 	Peers []string
 	// RingReplicas is the virtual-node count per peer (0 = default).
 	RingReplicas int
-	// PeerTimeout bounds one exchange attempt; it is further tightened
-	// to half the request's remaining deadline, so a slow peer can
-	// never starve the local-compute fallback (0 = default).
+	// PeerTimeout bounds a fetch's one exchange; it is further
+	// tightened to half the request's remaining deadline, so a slow
+	// peer can never starve the local-compute fallback (0 = default).
 	PeerTimeout time.Duration
-	// Retries is how many backed-off retries each peer gets beyond the
-	// first attempt (<0 = none, 0 = default).
-	Retries int
-	// BackoffBase/BackoffCap shape the capped exponential full-jitter
-	// backoff between retries (0 = defaults).
-	BackoffBase, BackoffCap time.Duration
-	// HedgeAfter is the owner-silence threshold before the single
-	// inflight hedge fires at the next ring replica (<0 disables,
-	// 0 = default).
-	HedgeAfter time.Duration
 	// BreakerFailures trips a peer's breaker after that many
 	// consecutive errors; BreakerWindow/BreakerRatio trip it on
 	// failure rate; BreakerCooldown is the open period before a
@@ -109,10 +93,8 @@ type Cluster struct {
 	wg      sync.WaitGroup
 	closed  atomic.Bool
 
-	fills, notFound, degrades atomic.Int64
-	errs, retries             atomic.Int64
-	hedges, hedgeWins         atomic.Int64
-	offers, offerFails        atomic.Int64
+	fills, notFound, degrades, errs atomic.Int64
+	offers, offerFails              atomic.Int64
 }
 
 // New builds the peer layer.  Self must appear in Peers, and Transport
@@ -166,10 +148,9 @@ func (c *Cluster) Owner(fingerprint string) string { return c.ring.Owner(fingerp
 // histograms).  Call before serving; not synchronized.
 func (c *Cluster) SetObserve(f func(peer string, d time.Duration)) { c.observe = f }
 
-// Close stops background work (inflight offers, losing hedges) and
-// waits for it.  Fetch and Offer after Close are no-ops; callers stop
-// request traffic first (lalrd drains HTTP before closing the
-// cluster).
+// Close stops background work (inflight offers) and waits for it.
+// Fetch and Offer after Close are no-ops; callers stop request traffic
+// first (lalrd drains HTTP before closing the cluster).
 func (c *Cluster) Close() {
 	if c.closed.Swap(true) {
 		return
@@ -178,34 +159,12 @@ func (c *Cluster) Close() {
 	c.wg.Wait()
 }
 
-// timeouts returns the configured per-attempt ceiling.
+// peerTimeout returns the configured exchange ceiling.
 func (c *Cluster) peerTimeout() time.Duration {
 	if c.cfg.PeerTimeout > 0 {
 		return c.cfg.PeerTimeout
 	}
 	return DefaultPeerTimeout
-}
-
-func (c *Cluster) retryCount() int {
-	switch {
-	case c.cfg.Retries < 0:
-		return 0
-	case c.cfg.Retries == 0:
-		return DefaultRetries
-	default:
-		return c.cfg.Retries
-	}
-}
-
-func (c *Cluster) hedgeAfter() time.Duration {
-	switch {
-	case c.cfg.HedgeAfter < 0:
-		return 0
-	case c.cfg.HedgeAfter == 0:
-		return DefaultHedgeAfter
-	default:
-		return c.cfg.HedgeAfter
-	}
 }
 
 func (c *Cluster) logf(format string, args ...any) {
@@ -214,44 +173,21 @@ func (c *Cluster) logf(format string, args ...any) {
 	}
 }
 
-// candidates lists the peers worth asking for a fingerprint, owner
-// first, self excluded.
-func (c *Cluster) candidates(fingerprint string) []*peer {
-	owners := c.ring.Owners(fingerprint, fetchCandidates+1)
-	out := make([]*peer, 0, fetchCandidates)
-	for _, u := range owners {
-		if u == c.self {
-			continue
-		}
-		if p := c.peers[u]; p != nil && len(out) < fetchCandidates {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// attemptResult is one peer attempt chain's outcome.
-type attemptResult struct {
-	raw    []byte
-	peer   string
-	err    error
-	hedged bool // launched by the hedge timer, not by a failure
-}
-
 // Fetch asks the ring owner of a fingerprint for its frozen table
-// bytes, hedging to the next replica when the owner is slow, retrying
-// with backoff, and respecting each peer's circuit breaker.  On
-// success it returns verified raw FRZ1 bytes and the peer that served
-// them.  It returns ErrNoPeers on a single-member fleet, ErrNotFound
-// when a healthy peer authoritatively lacks the table, and an error
-// wrapping ErrUnavailable when every candidate failed — in every error
-// case the caller computes locally; no failure here is client-visible.
+// bytes: one exchange, admitted by the owner's circuit breaker and
+// bounded by attemptTimeout.  On success it returns verified raw FRZ1
+// bytes and the owner that served them.  It returns ErrNoPeers when
+// there is nobody to ask (the fingerprint is self-owned, the fleet has
+// one member, the cluster is closed), ErrNotFound when the owner
+// authoritatively lacks the table, and an error wrapping
+// ErrUnavailable for any other answer — in every error case the
+// caller computes locally; no failure here is client-visible.
 func (c *Cluster) Fetch(ctx context.Context, fingerprint string) ([]byte, string, error) {
 	if c.closed.Load() {
 		return nil, "", ErrNoPeers
 	}
-	cands := c.candidates(fingerprint)
-	if len(cands) == 0 {
+	p := c.peers[c.ring.Owner(fingerprint)]
+	if p == nil {
 		return nil, "", ErrNoPeers
 	}
 	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < minPeerBudget {
@@ -259,141 +195,41 @@ func (c *Cluster) Fetch(ctx context.Context, fingerprint string) ([]byte, string
 		c.degrades.Add(1)
 		return nil, "", fmt.Errorf("%w: %v of request budget left", ErrUnavailable, time.Until(dl).Round(time.Millisecond))
 	}
-
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	resc := make(chan attemptResult, len(cands))
-	launched := 0
-	launch := func(hedged bool) bool {
-		if launched >= len(cands) {
-			return false
-		}
-		p := cands[launched]
-		launched++
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			r := c.tryPeer(fctx, p, fingerprint)
-			r.hedged = hedged
-			resc <- r
-		}()
-		return true
+	if !p.breaker.Allow() {
+		c.degrades.Add(1)
+		return nil, "", fmt.Errorf("%w: %s breaker open", ErrUnavailable, p.url)
 	}
-	launch(false)
-
-	var hedgeTimer *time.Timer
-	var hedgeC <-chan time.Time
-	if d := c.hedgeAfter(); d > 0 && len(cands) > 1 {
-		hedgeTimer = time.NewTimer(d)
-		defer hedgeTimer.Stop()
-		hedgeC = hedgeTimer.C
-	}
-
-	pending := 1
-	notFound := false
-	var firstErr error
-	// Bounded without a budget: pending never exceeds the candidate
-	// count (at most fetchCandidates launches), every launched attempt
-	// sends exactly one result, and each attempt is context-bounded.
-	for pending > 0 { //guardloop:ok
-		select {
-		case r := <-resc:
-			pending--
-			if r.err == nil {
-				c.fills.Add(1)
-				if r.hedged {
-					c.hedgeWins.Add(1)
-				}
-				return r.raw, r.peer, nil
-			}
-			switch {
-			case errors.Is(r.err, ErrNotFound):
-				notFound = true
-			case firstErr == nil:
-				firstErr = r.err
-			}
-			// A finished attempt frees the inflight slot: move to the
-			// next candidate without waiting for the hedge timer.
-			if launch(false) {
-				pending++
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if launch(true) {
-				pending++
-				c.hedges.Add(1)
-			}
+	raw, err := c.exchangeFetch(ctx, p, fingerprint)
+	if err == nil && c.cfg.Verify != nil {
+		if verr := c.cfg.Verify(fingerprint, raw); verr != nil {
+			err = fmt.Errorf("cluster: peer %s returned corrupt table: %w", p.url, verr)
 		}
 	}
-	if notFound && firstErr == nil {
+	switch {
+	case err == nil:
+		p.breaker.Result(true)
+		p.fills.Add(1)
+		c.fills.Add(1)
+		return raw, p.url, nil
+	case errors.Is(err, ErrNotFound):
+		// An authoritative miss is a healthy answer.
+		p.breaker.Result(true)
 		c.notFound.Add(1)
 		return nil, "", ErrNotFound
-	}
-	c.degrades.Add(1)
-	if firstErr == nil {
-		firstErr = errors.New("all candidate breakers open")
-	}
-	return nil, "", fmt.Errorf("%w: %v", ErrUnavailable, firstErr)
-}
-
-// errBreakerOpen marks a candidate refused locally, no network spent.
-var errBreakerOpen = errors.New("cluster: breaker open")
-
-// tryPeer is one peer's attempt chain: breaker admission, the
-// exchange under a per-attempt timeout, verification, then capped
-// exponential backoff with full jitter between retries.
-func (c *Cluster) tryPeer(ctx context.Context, p *peer, fingerprint string) attemptResult {
-	var lastErr error
-	for attempt := 0; attempt <= c.retryCount(); attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-			if !sleepCtx(ctx, backoffDelay(c.cfg.BackoffBase, c.cfg.BackoffCap, attempt)) {
-				break
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			break
-		}
-		if !p.breaker.Allow() {
-			if lastErr == nil {
-				lastErr = errBreakerOpen
-			}
-			break
-		}
-		raw, err := c.exchangeFetch(ctx, p, fingerprint)
-		if err == nil && c.cfg.Verify != nil {
-			if verr := c.cfg.Verify(fingerprint, raw); verr != nil {
-				err = fmt.Errorf("cluster: peer %s returned corrupt table: %w", p.url, verr)
-			}
-		}
-		if err == nil {
-			p.breaker.Result(true)
-			p.fills.Add(1)
-			return attemptResult{raw: raw, peer: p.url}
-		}
-		if errors.Is(err, ErrNotFound) {
-			// An authoritative miss is a healthy answer.
-			p.breaker.Result(true)
-			return attemptResult{err: ErrNotFound}
-		}
-		if ctx.Err() != nil && errors.Is(err, context.Canceled) {
-			// The race was decided elsewhere (hedge winner, caller gave
-			// up): this peer answered nothing, so blame it for nothing.
-			p.breaker.Cancel()
-			break
-		}
+	case ctx.Err() != nil && errors.Is(err, context.Canceled):
+		// The caller gave up: the owner answered nothing, so blame it
+		// for nothing.
+		p.breaker.Cancel()
+	default:
 		p.breaker.Result(false)
 		p.errors.Add(1)
 		c.errs.Add(1)
-		lastErr = err
 	}
-	if lastErr == nil {
-		lastErr = ctx.Err()
-	}
-	return attemptResult{err: lastErr}
+	c.degrades.Add(1)
+	return nil, "", fmt.Errorf("%w: %v", ErrUnavailable, err)
 }
 
-// exchangeFetch is one wire attempt: fault-injection hook, per-attempt
+// exchangeFetch is the fetch's wire exchange: fault-injection hook,
 // timeout derived from the request's remaining deadline, hop-latency
 // observation.
 func (c *Cluster) exchangeFetch(ctx context.Context, p *peer, fingerprint string) ([]byte, error) {
@@ -416,7 +252,7 @@ func (c *Cluster) exchangeFetch(ctx context.Context, p *peer, fingerprint string
 	return raw, err
 }
 
-// attemptTimeout derives one attempt's ceiling: the configured
+// attemptTimeout derives the exchange's ceiling: the configured
 // PeerTimeout, tightened to half the request's remaining deadline so
 // the local-compute fallback always keeps the other half.
 func (c *Cluster) attemptTimeout(ctx context.Context) time.Duration {
@@ -497,18 +333,19 @@ type PeerStats struct {
 
 // Stats is the cluster section of /metricz.
 type Stats struct {
-	Self      string      `json:"self"`
-	Members   int         `json:"members"`
-	Peers     []PeerStats `json:"peers"`
-	Fills     int64       `json:"fills"`
-	NotFound  int64       `json:"not_found"`
-	Degrades  int64       `json:"degrades"`
-	Errors    int64       `json:"errors"`
-	Retries   int64       `json:"retries"`
-	Hedges    int64       `json:"hedges"`
-	HedgeWins int64       `json:"hedge_wins"`
-	Offers    int64       `json:"offers"`
-	OfferFail int64       `json:"offer_fails"`
+	Self     string      `json:"self"`
+	Members  int         `json:"members"`
+	Peers    []PeerStats `json:"peers"`
+	Fills    int64       `json:"fills"`
+	NotFound int64       `json:"not_found"`
+	Degrades int64       `json:"degrades"`
+	Errors   int64       `json:"errors"`
+	// Retries and Hedges are always 0: a fetch makes one exchange with
+	// the ring owner.  They remain for readers of the old schema.
+	Retries   int64 `json:"retries"`
+	Hedges    int64 `json:"hedges"`
+	Offers    int64 `json:"offers"`
+	OfferFail int64 `json:"offer_fails"`
 }
 
 // Stats snapshots the counters and every peer's breaker state.
@@ -520,9 +357,6 @@ func (c *Cluster) Stats() Stats {
 		NotFound:  c.notFound.Load(),
 		Degrades:  c.degrades.Load(),
 		Errors:    c.errs.Load(),
-		Retries:   c.retries.Load(),
-		Hedges:    c.hedges.Load(),
-		HedgeWins: c.hedgeWins.Load(),
 		Offers:    c.offers.Load(),
 		OfferFail: c.offerFails.Load(),
 	}

@@ -3,20 +3,20 @@
 // consistent-hash ring, asking the owning sibling for frozen table
 // bytes (internal/frozen FRZ1) before computing an analysis locally.
 //
-// The layer is built for partial failure.  Every remote exchange is
-// wrapped in the full robustness kit — per-attempt timeouts derived
-// from the request's remaining deadline, capped exponential backoff
-// with full jitter, a per-peer circuit breaker (closed → open →
-// half-open), and a single inflight hedge against the next ring
-// replica when the owner is slow — and the whole layer is advisory: a
-// fetch that fails for any reason degrades to local computation, never
-// to a client-visible error.  A fully partitioned fleet behaves
-// exactly like N independent nodes (asserted by test).
+// The layer is built for partial failure, and it is advisory: a fetch
+// is one exchange with the ring owner, bounded by a share of the
+// request's remaining deadline and gated by that owner's circuit
+// breaker (closed → open → half-open), and any answer other than a
+// verified fill degrades to local computation, never to a
+// client-visible error.  A cold local analysis costs less than one
+// retry's backoff would, so a fetch makes no second attempt.  A fully
+// partitioned fleet behaves exactly like N independent nodes
+// (asserted by test).
 //
 // Faults are injectable deterministically with InjectFault, mirroring
 // guard.InjectFault: any peer exchange can be dropped, delayed,
-// corrupted or errored, so every breaker and hedger state transition
-// is reachable from unit tests without a flaky network.
+// corrupted or errored, so every breaker state transition is
+// reachable from unit tests without a flaky network.
 package cluster
 
 import (
@@ -96,35 +96,13 @@ func ringHash(s string) uint64 {
 // Nodes returns the ring's members, sorted.
 func (r *Ring) Nodes() []string { return r.nodes }
 
-// Owners returns up to n distinct peers responsible for key, in
-// preference order: the owner first, then its ring successors (the
-// hedge targets).  The walk is clockwise from the key's hash.
-func (r *Ring) Owners(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	h := ringHash(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[int]bool, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, r.nodes[p.node])
-		}
-	}
-	return out
-}
-
-// Owner returns the single peer owning key.
+// Owner returns the peer owning key: the first one clockwise from the
+// key's hash, or "" on an empty ring.
 func (r *Ring) Owner(key string) string {
-	o := r.Owners(key, 1)
-	if len(o) == 0 {
+	if len(r.points) == 0 {
 		return ""
 	}
-	return o[0]
+	h := ringHash(key)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	return r.nodes[r.points[i%len(r.points)].node]
 }

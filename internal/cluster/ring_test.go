@@ -16,30 +16,23 @@ func TestRingDeterministicAndOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestRingOwnersDistinctAndOrdered(t *testing.T) {
-	r := NewRing([]string{"http://a", "http://b", "http://c"}, 64)
-	for i := 0; i < 100; i++ {
+// TestRingOwnerIsFirstClockwise checks Owner against a linear scan:
+// the owner is the node of the virtual point at the least clockwise
+// distance from the key's hash, wrapping past the top of the circle.
+func TestRingOwnerIsFirstClockwise(t *testing.T) {
+	r := NewRing([]string{"http://a", "http://b", "http://c"}, 8)
+	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("fp-%d", i)
-		owners := r.Owners(key, 3)
-		if len(owners) != 3 {
-			t.Fatalf("key %s: got %d owners, want 3", key, len(owners))
-		}
-		seen := map[string]bool{}
-		for _, o := range owners {
-			if seen[o] {
-				t.Fatalf("key %s: duplicate owner %s in %v", key, o, owners)
+		h := ringHash(key)
+		best := r.points[0]
+		for _, p := range r.points[1:] {
+			if p.hash-h < best.hash-h { // unsigned: distance mod 2^64
+				best = p
 			}
-			seen[o] = true
 		}
-		if owners[0] != r.Owner(key) {
-			t.Fatalf("key %s: Owners[0] %s != Owner %s", key, owners[0], r.Owner(key))
+		if got, want := r.Owner(key), r.nodes[best.node]; got != want {
+			t.Fatalf("key %s: Owner = %s, want %s", key, got, want)
 		}
-	}
-	if got := r.Owners("k", 10); len(got) != 3 {
-		t.Fatalf("asking for more owners than members returned %d, want 3", len(got))
-	}
-	if got := r.Owners("k", 0); got != nil {
-		t.Fatalf("Owners(k, 0) = %v, want nil", got)
 	}
 }
 
@@ -92,8 +85,5 @@ func TestRingEmptyAndSingle(t *testing.T) {
 	one := NewRing([]string{"http://only"}, 8)
 	if got := one.Owner("k"); got != "http://only" {
 		t.Fatalf("single ring owner = %q", got)
-	}
-	if got := one.Owners("k", 5); len(got) != 1 {
-		t.Fatalf("single ring Owners = %v, want one entry", got)
 	}
 }

@@ -11,8 +11,7 @@ import (
 
 // ErrNotFound is the authoritative "the peer is healthy and does not
 // have it" answer.  It is not a peer failure: the breaker records it
-// as a success, no retry or hedge is spent on it, and the caller
-// degrades straight to local compute.
+// as a success, and the caller goes straight to local compute.
 var ErrNotFound = errors.New("cluster: peer does not have the table")
 
 // Transport moves frozen-table bytes between fleet members.  The

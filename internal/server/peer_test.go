@@ -58,8 +58,6 @@ func newFleet(t *testing.T, n int, mutServer func(i int, cfg *Config), mutCluste
 			Transport:   &cluster.HTTPTransport{},
 			Verify:      verifyFRZ,
 			PeerTimeout: 2 * time.Second,
-			BackoffBase: time.Millisecond,
-			BackoffCap:  5 * time.Millisecond,
 		}
 		if mutCluster != nil {
 			mutCluster(i, &ccfg)
@@ -89,15 +87,25 @@ func newFleet(t *testing.T, n int, mutServer func(i int, cfg *Config), mutCluste
 // fingerprint) whose ring owner is the given node.
 func grammarOwnedBy(t *testing.T, cl *cluster.Cluster, owner string) (src, fp string) {
 	t.Helper()
-	for i := 0; i < 64; i++ {
-		src = tinyGrammar + strings.Repeat("\n", i)
-		fp = repro.Fingerprint(src, repro.Options{})
-		if cl.Owner(fp) == owner {
-			return src, fp
+	srcs := grammarsOwnedBy(t, cl, owner, 1)
+	return srcs[0], repro.Fingerprint(srcs[0], repro.Options{})
+}
+
+// grammarsOwnedBy finds n distinct tinyGrammar variants whose ring
+// owner is the given node.
+func grammarsOwnedBy(t *testing.T, cl *cluster.Cluster, owner string, n int) []string {
+	t.Helper()
+	var srcs []string
+	for i := 0; i < 256 && len(srcs) < n; i++ {
+		src := tinyGrammar + strings.Repeat("\n", i)
+		if cl.Owner(repro.Fingerprint(src, repro.Options{})) == owner {
+			srcs = append(srcs, src)
 		}
 	}
-	t.Fatal("no grammar variant owned by the wanted node")
-	return "", ""
+	if len(srcs) < n {
+		t.Fatalf("found %d grammar variants owned by %s, want %d", len(srcs), owner, n)
+	}
+	return srcs
 }
 
 // TestPeerTableEndpoints covers the peer-exchange HTTP surface
@@ -314,12 +322,10 @@ func TestClusterPeerFill(t *testing.T) {
 func TestClusterPartitionEquivalence(t *testing.T) {
 	single := newTestServer(t, Config{CacheBytes: 1 << 20})
 	nodes := newFleet(t, 2, nil, func(i int, cfg *cluster.Config) {
-		cfg.Retries = -1
-		cfg.HedgeAfter = -1
 		cfg.BreakerFailures = 2
 		cfg.BreakerCooldown = 100 * time.Millisecond
 	})
-	a := nodes[0]
+	a, b := nodes[0], nodes[1]
 
 	restore := cluster.InjectFault(&cluster.Fault{Mode: cluster.FaultError})
 	partitioned := true
@@ -329,10 +335,10 @@ func TestClusterPartitionEquivalence(t *testing.T) {
 		}
 	}()
 
-	grammars := make([]string, 4)
-	for i := range grammars {
-		grammars[i] = tinyGrammar + strings.Repeat("\n", i+1)
-	}
+	// Variants a owns never reach the network, so every grammar here
+	// is b's: each fetch is an exchange the partition fails, and the
+	// recovery request below is the half-open probe.
+	grammars := grammarsOwnedBy(t, a.cl, b.url, 4)
 	for i, src := range grammars[:3] {
 		want, wantBody := post(t, single, "/v1/analyze", AnalyzeRequest{Grammar: src})
 		resp, body := post(t, a.ts, "/v1/analyze", AnalyzeRequest{Grammar: src})

@@ -252,15 +252,12 @@ func (s *Server) writeProm(w http.ResponseWriter, r *http.Request) {
 		p.Gauge("lalrd_cluster_members", "Fleet size, this node included.", float64(cst.Members))
 		p.CounterVec("lalrd_peer_events_total",
 			"Peer-layer events: fills, authoritative misses, degrades to local compute, "+
-				"exchange errors, retries, hedges, hedge wins, offers sent/failed.",
+				"exchange errors, offers sent/failed.",
 			"event", map[string]float64{
 				"fill":       float64(cst.Fills),
 				"not_found":  float64(cst.NotFound),
 				"degrade":    float64(cst.Degrades),
 				"error":      float64(cst.Errors),
-				"retry":      float64(cst.Retries),
-				"hedge":      float64(cst.Hedges),
-				"hedge_win":  float64(cst.HedgeWins),
 				"offer":      float64(cst.Offers),
 				"offer_fail": float64(cst.OfferFail),
 			})
