@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci build vet test race benchsmoke smoke serve-smoke guard-smoke telemetry-smoke frozen-smoke ambig-smoke bench metrics lint-corpus
+.PHONY: ci build vet test race benchsmoke smoke guard-smoke ambig-smoke bench metrics lint-corpus
 
-ci: build vet test race smoke serve-smoke benchsmoke guard-smoke telemetry-smoke frozen-smoke ambig-smoke lint-corpus
+ci: build vet test race smoke benchsmoke guard-smoke ambig-smoke lint-corpus
 
 # The benchmark is a separate module that imports internal/*, so the
 # root build does not compile it; build (output discarded) and vet it
@@ -36,10 +36,12 @@ test:
 # store consulted from request goroutines, the per-conflict ambiguity
 # walks, and the cluster peer layer (breakers shared by request
 # goroutines, async offers) — run under the race detector, alongside
-# the serial Digraph and prop engines they call.  The root package's
-# batch tests push real analyses and lint runs through the worker pool.
+# the serial Digraph and prop engines they call.  cmd/lalrd's
+# TestClusterSmoke replays the corpus concurrently over a 3-node fleet.
+# The root package's batch tests push real analyses and lint runs
+# through the worker pool.
 race:
-	$(GO) test -race ./internal/driver/... ./internal/cache/... ./internal/server/... ./internal/telemetry/... ./internal/digraph/... ./internal/prop/... ./internal/frozen/... ./internal/ambig/... ./internal/cluster/...
+	$(GO) test -race ./internal/driver/... ./internal/cache/... ./internal/server/... ./internal/telemetry/... ./internal/digraph/... ./internal/prop/... ./internal/frozen/... ./internal/ambig/... ./internal/cluster/... ./cmd/lalrd/...
 	$(GO) test -race -run 'TestAnalyzeAll|TestLintAll' .
 
 # One-iteration pass over every benchmark: catches bit-rot in the bench
@@ -53,27 +55,6 @@ benchsmoke:
 # packing on the whole corpus.
 smoke:
 	$(GO) run ./cmd/lalrbench -quick -metrics-out /dev/null
-
-# Serving smoke (DESIGN.md § 10): boot an in-process lalrd and drive
-# the full serving story over real HTTP — cold request, cache hit with
-# a byte-identical body, /metricz accounting, a 422 limit trip the
-# server survives, clean drain-and-shutdown.
-serve-smoke:
-	$(GO) run ./cmd/lalrd -smoke
-
-# Telemetry smoke (DESIGN.md § 11): boot an in-process lalrd and check
-# the observability story over real HTTP — request-id echo, trace
-# retrieval by id, Prometheus exposition through the strict validator,
-# /metricz latency digests, build info, JSON access-log records.
-telemetry-smoke:
-	$(GO) run ./cmd/lalrd -telemetry-smoke
-
-# Frozen-store smoke (DESIGN.md § 12): two lalrd lives on one store
-# directory — the first analyzes cold and freezes the tables, the
-# restart answers the same grammar with X-Repro-Cache: frozen, a
-# byte-identical body and zero analysis phases in its trace.
-frozen-smoke:
-	$(GO) run ./cmd/lalrd -frozen-smoke
 
 # Governance smoke (DESIGN.md § 9): the limit-trip, cancellation and
 # fault-injection tests (the driver ones under -race), then a bounded

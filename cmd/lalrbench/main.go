@@ -24,16 +24,10 @@
 //	                 timings themselves are the experiment
 //	-cpuprofile F    write a CPU profile of the run to F
 //	-memprofile F    write a heap profile at exit to F
-//	-serve-load URLS replay the corpus against running lalrd instances
-//	                 at the comma-separated base URLs.  One URL: once
-//	                 cold and once hot, reporting per-pass wall time,
-//	                 per-request p50/p99/p999 latency, and cache-hit
-//	                 counts (plus a byte-identity check of the hot
-//	                 bodies against the cold ones); -metrics-out writes
-//	                 a repro-serveload/1 JSON document.  Several URLs:
-//	                 the fleet load generator — round-robin replay with
-//	                 per-endpoint and aggregate p50/p99/p999 latency and
-//	                 availability; -metrics-out writes repro-serveload/2
+//
+// lalrbench measures the library only.  The served path (lalrd under
+// load: cold, hot, lint and fleet replay) is measured by the separate
+// lalrdbench module; see lalrdbench/README.md.
 //
 // Governance flags (the -metrics-out path only — the text tables run
 // trusted corpus grammars):
@@ -83,33 +77,9 @@ func main() {
 		parallel   = flag.Int("parallel", 1, "metrics-collection workers (0 = one per CPU); >1 perturbs the timing fields")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		serveLoad  = flag.String("serve-load", "", "replay the corpus against running lalrd instances at these comma-separated base URLs; one URL reports cold vs hot cache throughput, several run the fleet load generator")
 	)
 	gf := cliguard.Register(flag.CommandLine)
 	flag.Parse()
-
-	if *serveLoad != "" {
-		var bases []string
-		for _, b := range strings.Split(*serveLoad, ",") {
-			if b = strings.TrimRight(strings.TrimSpace(b), "/"); b != "" {
-				bases = append(bases, b)
-			}
-		}
-		var err error
-		switch len(bases) {
-		case 0:
-			err = fmt.Errorf("-serve-load: no base URLs in %q", *serveLoad)
-		case 1:
-			err = runServeLoad(os.Stdout, bases[0], *metricsOut)
-		default:
-			err = runServeLoadFleet(os.Stdout, bases, *metricsOut)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lalrbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -6,7 +6,6 @@
 // Usage:
 //
 //	lalrd [flags]
-//	lalrd -smoke
 //
 // Flags:
 //
@@ -23,9 +22,10 @@
 //	-ring-replicas N, -peer-timeout D, -breaker-failures N,
 //	-breaker-cooldown D
 //	                peer-layer tuning (see DESIGN.md § 14)
-//	-smoke          run the self-contained end-to-end smoke check and exit
-//	-telemetry-smoke run the telemetry end-to-end smoke check and exit
-//	-frozen-smoke   run the frozen-store warm-restart smoke check and exit
+//
+// The serving story is checked by go test: internal/server's tests
+// hold every cache tier's bytes to the library's, and this package's
+// tests boot the real serve path and a 3-node fleet on loopback.
 //
 // Endpoints: POST /v1/analyze, POST /v1/lint, POST /v1/batch,
 // GET /v1/peer/table/{fp} and PUT (fleet-internal frozen-table
@@ -50,6 +50,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -75,10 +76,14 @@ func run(args []string, out io.Writer) error {
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8077", "listen address (host:port; :0 picks a free port)")
 		portFile = fs.String("port-file", "", "write the bound TCP port to this file once listening")
-		smoke    = fs.Bool("smoke", false, "run the end-to-end smoke check against an in-process server and exit")
-		telSmoke = fs.Bool("telemetry-smoke", false, "run the telemetry end-to-end smoke check against an in-process server and exit")
-		frzSmoke = fs.Bool("frozen-smoke", false, "run the frozen-store warm-restart smoke check and exit")
+		peers    = fs.String("peers", "", "comma-separated fleet member base URLs, this node included (empty = single-node)")
+		ccfg     cluster.Config
 	)
+	fs.StringVar(&ccfg.Self, "self", "", "this node's own base URL as it appears in -peers (required with -peers)")
+	fs.IntVar(&ccfg.RingReplicas, "ring-replicas", 0, "consistent-hash virtual nodes per peer (0 = default)")
+	fs.DurationVar(&ccfg.PeerTimeout, "peer-timeout", cluster.DefaultPeerTimeout, "ceiling for a fetch's one exchange with the ring owner")
+	fs.IntVar(&ccfg.BreakerFailures, "breaker-failures", cluster.DefaultBreakerFailures, "consecutive peer failures that trip its circuit breaker")
+	fs.DurationVar(&ccfg.BreakerCooldown, "breaker-cooldown", cluster.DefaultBreakerCooldown, "open period before a tripped breaker probes the peer again")
 	sf := cliguard.RegisterServer(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -98,18 +103,18 @@ func run(args []string, out io.Writer) error {
 		},
 		AccessLog: sf.LogFormat.Logger(os.Stderr),
 	}
-	if *smoke {
-		return runSmoke(out, cfg)
+	// Peer list entries drop empty segments and trailing slashes, so
+	// "a,, b/" and "a,b" name the same fleet.
+	for _, p := range strings.Split(*peers, ",") {
+		if p = strings.TrimSuffix(strings.TrimSpace(p), "/"); p != "" {
+			ccfg.Peers = append(ccfg.Peers, p)
+		}
 	}
-	if *telSmoke {
-		return runTelemetrySmoke(out, cfg)
-	}
-	if *frzSmoke {
-		return runFrozenSmoke(out, cfg)
-	}
-	if ccfg, ok, err := sf.ClusterConfig(); err != nil {
-		return err
-	} else if ok {
+	if len(ccfg.Peers) > 0 {
+		if ccfg.Self == "" {
+			return errors.New("-peers requires -self (this node's own base URL)")
+		}
+		ccfg.Self = strings.TrimSuffix(ccfg.Self, "/")
 		ccfg.Transport = &cluster.HTTPTransport{}
 		ccfg.Verify = verifyFrozen
 		ccfg.Logf = cfg.Logf

@@ -12,44 +12,36 @@ import (
 	"time"
 )
 
-// TestServeSmoke runs the same end-to-end check as `make serve-smoke`:
-// cold/warm analyze with byte-identical bodies, metricz accounting, a
-// 422 limit trip the server survives, and a clean shutdown.
-func TestServeSmoke(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-smoke"}, &out); err != nil {
-		t.Fatalf("lalrd -smoke: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "serve-smoke: PASS") {
-		t.Errorf("smoke output missing PASS marker:\n%s", out.String())
-	}
-}
-
-// TestSmokeHonorsCacheFlags exercises the flag plumbing: a tiny cache
-// still passes the smoke (eviction is not corruption), and a bad size
-// is a usage error.
+// TestSmokeHonorsCacheFlags exercises the flag plumbing: a bad size,
+// a stray positional argument, -peers without -self and the retired
+// -smoke flag are all usage errors that stop before anything listens.
 func TestSmokeHonorsCacheFlags(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-smoke", "-cache-size", "256KB", "-max-inflight", "8"}, &out); err != nil {
-		t.Fatalf("lalrd -smoke -cache-size 256KB: %v\n%s", err, out.String())
+	for _, args := range [][]string{
+		{"-cache-size", "banana"},
+		{"stray-arg"},
+		{"-peers", "http://127.0.0.1:1,http://127.0.0.1:2"},
+		{"-smoke"},
+	} {
+		if err := run(args, &out); err == nil {
+			t.Errorf("lalrd %s accepted", strings.Join(args, " "))
+		}
 	}
-	if err := run([]string{"-cache-size", "banana"}, &out); err == nil {
-		t.Error("bad -cache-size accepted")
-	}
-	if err := run([]string{"stray-arg"}, &out); err == nil {
-		t.Error("stray positional argument accepted")
+	if out.Len() != 0 {
+		t.Errorf("a usage error still started a server:\n%s", out.String())
 	}
 }
 
 // TestServeGracefulShutdown boots the real serve path on a random
-// port, confirms it answers, then delivers SIGTERM and expects a clean
-// drain-and-exit.
+// port with non-default capacity flags, confirms it answers, then
+// delivers SIGTERM and expects a clean drain-and-exit.
 func TestServeGracefulShutdown(t *testing.T) {
 	portFile := filepath.Join(t.TempDir(), "port")
 	var out bytes.Buffer
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-port-file", portFile}, &out)
+		done <- run([]string{"-addr", "127.0.0.1:0", "-port-file", portFile,
+			"-cache-size", "256KB", "-max-inflight", "8"}, &out)
 	}()
 
 	var port string
@@ -84,6 +76,9 @@ func TestServeGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not shut down after SIGTERM")
+	}
+	if !strings.Contains(out.String(), "(cache 256KB, max-inflight 8)") {
+		t.Errorf("serve did not boot with the flagged capacity:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "draining in-flight requests") {
 		t.Errorf("shutdown did not report draining:\n%s", out.String())

@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/guard"
 )
 
@@ -172,38 +171,6 @@ type ServerFlags struct {
 	// tables + canonical body, and restarts serve previously-seen
 	// grammars without re-analysis.
 	StoreDir string
-
-	// Peers is the fleet membership as a comma-separated list of base
-	// URLs, this node included; empty runs single-node (no peer layer).
-	Peers string
-	// Self is this node's own advertised base URL; required with
-	// -peers, and it must appear in the peer list.
-	Self string
-	// RingReplicas is the consistent-hash virtual-node count per peer
-	// (0 = the cluster default).
-	RingReplicas int
-	// PeerTimeout bounds a fetch's one exchange with the ring owner
-	// (0 = default).
-	PeerTimeout time.Duration
-	// BreakerFailures trips a peer's circuit breaker after that many
-	// consecutive exchange failures.
-	BreakerFailures int
-	// BreakerCooldown is how long a tripped breaker stays open before
-	// admitting its half-open probe.
-	BreakerCooldown time.Duration
-}
-
-// PeerList splits -peers into its base URLs, dropping empty segments
-// and trailing slashes so "a,, b/" and "a,b" name the same fleet.
-func (f *ServerFlags) PeerList() []string {
-	var out []string
-	for _, p := range strings.Split(f.Peers, ",") {
-		p = strings.TrimSuffix(strings.TrimSpace(p), "/")
-		if p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // DefaultCacheSize is the lalrd response-cache budget when -cache-size
@@ -220,34 +187,7 @@ func RegisterServer(fs *flag.FlagSet) *ServerFlags {
 	fs.IntVar(&f.MaxInflight, "max-inflight", 0, "reject analysis requests beyond this many in flight (0 = unlimited)")
 	fs.Var(&f.LogFormat, "log-format", "access-log encoding: text or json")
 	fs.StringVar(&f.StoreDir, "store-dir", "", "frozen-table store directory for warm restarts (empty = disabled)")
-	fs.StringVar(&f.Peers, "peers", "", "comma-separated fleet member base URLs, this node included (empty = single-node)")
-	fs.StringVar(&f.Self, "self", "", "this node's own base URL as it appears in -peers (required with -peers)")
-	fs.IntVar(&f.RingReplicas, "ring-replicas", 0, "consistent-hash virtual nodes per peer (0 = default)")
-	fs.DurationVar(&f.PeerTimeout, "peer-timeout", cluster.DefaultPeerTimeout, "ceiling for a fetch's one exchange with the ring owner")
-	fs.IntVar(&f.BreakerFailures, "breaker-failures", cluster.DefaultBreakerFailures, "consecutive peer failures that trip its circuit breaker")
-	fs.DurationVar(&f.BreakerCooldown, "breaker-cooldown", cluster.DefaultBreakerCooldown, "open period before a tripped breaker probes the peer again")
 	return f
-}
-
-// ClusterConfig translates the fleet flags into a cluster.Config, or
-// reports ok=false when -peers is unset (single-node).  Transport and
-// Verify are the caller's to wire.
-func (f *ServerFlags) ClusterConfig() (cfg cluster.Config, ok bool, err error) {
-	peers := f.PeerList()
-	if len(peers) == 0 {
-		return cluster.Config{}, false, nil
-	}
-	if f.Self == "" {
-		return cluster.Config{}, false, errors.New("-peers requires -self (this node's own base URL)")
-	}
-	return cluster.Config{
-		Self:            strings.TrimSuffix(f.Self, "/"),
-		Peers:           peers,
-		RingReplicas:    f.RingReplicas,
-		PeerTimeout:     f.PeerTimeout,
-		BreakerFailures: f.BreakerFailures,
-		BreakerCooldown: f.BreakerCooldown,
-	}, true, nil
 }
 
 // Limits returns the per-request resource ceilings the flags imply —

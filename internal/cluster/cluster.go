@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// Tunable defaults (each has a -flag on lalrd; see internal/cliguard).
+// Tunable defaults (each has a -flag on lalrd; see cmd/lalrd).
 const (
 	// DefaultPeerTimeout is the ceiling for the one exchange a fetch
 	// makes.

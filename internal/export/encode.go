@@ -36,8 +36,7 @@ import (
 func AppendAnalysis(dst []byte, depth int, a *lr0.Automaton, sets [][]bitset.Set, t *lalrtable.Tables, dp *core.Result, method string) []byte {
 	n := newNames(a.G)
 	d := depth + 1
-	dst = append(dst, '{')
-	dst = key(dst, d, "grammar", true)
+	dst = AppendAnalysisHead(dst, depth, a.G.Name())
 	dst = n.appendGrammar(dst, d)
 	dst = key(dst, d, "method", false)
 	dst = AppendString(dst, method)
@@ -52,6 +51,19 @@ func AppendAnalysis(dst []byte, depth int, a *lr0.Automaton, sets [][]bitset.Set
 	dst = key(dst, d, "adequate", false)
 	dst = strconv.AppendBool(dst, t.Adequate())
 	return closeObject(dst, depth)
+}
+
+// AppendAnalysisHead appends the bytes AppendAnalysis starts with at
+// depth for a grammar named name: the report's opening brace through
+// the grammar's name.  The name is the one part of a report that the
+// grammar text and method do not decide; Parse takes it from the file
+// name.
+func AppendAnalysisHead(dst []byte, depth int, name string) []byte {
+	dst = append(dst, '{')
+	dst = key(dst, depth+1, "grammar", true)
+	dst = append(dst, '{')
+	dst = key(dst, depth+2, "name", true)
+	return AppendString(dst, name)
 }
 
 // names holds a grammar's symbol names escaped once, and the order
@@ -143,12 +155,11 @@ func (n *names) item(dst []byte, it lr0.Item) []byte {
 	return append(dst, '"')
 }
 
+// appendGrammar appends the grammar object after the name
+// AppendAnalysisHead wrote.
 func (n *names) appendGrammar(dst []byte, depth int) []byte {
 	g := n.g
 	d := depth + 1
-	dst = append(dst, '{')
-	dst = key(dst, d, "name", true)
-	dst = AppendString(dst, g.Name())
 	dst = key(dst, d, "terminals", false)
 	for i := range g.NumTerminals() {
 		dst = elem(dst, d, i)

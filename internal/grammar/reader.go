@@ -26,11 +26,12 @@ import (
 // as is the reserved error-recovery terminal "error".  Other bare
 // identifiers must either be declared with %token/%left/... or appear as
 // a left-hand side; anything else is an error, matching yacc's
-// strictness.  filename is used in error messages only.
+// strictness.  filename names the grammar (see NameOf) and appears in
+// error messages.
 func Parse(filename, src string) (*Grammar, error) {
 	p := &reader{
 		sc:    scanner{file: filename, src: src, line: 1},
-		b:     NewBuilder(strings.TrimSuffix(path.Base(filename), ".y")),
+		b:     NewBuilder(NameOf(filename)),
 		decl:  map[string]bool{},
 		lhs:   map[string]bool{},
 		alias: map[string]string{},
@@ -39,6 +40,12 @@ func Parse(filename, src string) (*Grammar, error) {
 		return nil, err
 	}
 	return p.b.Build()
+}
+
+// NameOf is the grammar name Parse gives a grammar read from filename:
+// its base name without a ".y" suffix.
+func NameOf(filename string) string {
+	return strings.TrimSuffix(path.Base(filename), ".y")
 }
 
 // MustParse is Parse for statically known-good grammar text; it panics on

@@ -160,3 +160,28 @@ func TestMissTraceNamesServerSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestFrozenBodyAnswersOnlyItsFilename: the fingerprint addresses the
+// grammar text, but the body names the grammar after the request's
+// filename.  A store or a ring owner holding the text under another
+// filename must not answer for this one: the request recomputes, and
+// its body is the library's for its own name.
+func TestFrozenBodyAnswersOnlyItsFilename(t *testing.T) {
+	_, want := post(t, newTestServer(t, Config{}), "/v1/analyze", AnalyzeRequest{Grammar: danglingElse, Filename: "b.y"})
+
+	ts := newTestServer(t, Config{CacheBytes: 1 << 20, StoreDir: filepath.Join(t.TempDir(), "store")})
+	post(t, ts, "/v1/analyze", AnalyzeRequest{Grammar: danglingElse, Filename: "a.y"})
+	resp, got := post(t, ts, "/v1/analyze", AnalyzeRequest{Grammar: danglingElse, Filename: "b.y"})
+	if out := resp.Header.Get("X-Repro-Cache"); out != "miss" || !bytes.Equal(got, want) {
+		t.Errorf("store holding a.y: b.y answered %q, body identical to the library's: %t", out, bytes.Equal(got, want))
+	}
+
+	nodes := newFleet(t, 2, nil, nil)
+	src, _ := grammarOwnedBy(t, nodes[0].cl, nodes[1].url)
+	_, want = post(t, newTestServer(t, Config{}), "/v1/analyze", AnalyzeRequest{Grammar: src, Filename: "b.y"})
+	post(t, nodes[1].ts, "/v1/analyze", AnalyzeRequest{Grammar: src, Filename: "a.y"})
+	resp, got = post(t, nodes[0].ts, "/v1/analyze", AnalyzeRequest{Grammar: src, Filename: "b.y"})
+	if out := resp.Header.Get("X-Repro-Cache"); out != "miss" || !bytes.Equal(got, want) {
+		t.Errorf("owner holding a.y: b.y answered %q, body identical to the library's: %t", out, bytes.Equal(got, want))
+	}
+}

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
 
 	"repro"
 	"repro/internal/export"
+	"repro/internal/grammar"
 	"repro/internal/guard"
 )
 
@@ -59,15 +61,31 @@ type AnalyzeResponse struct {
 // (export.AppendAnalysis writes the report); the server tests hold it
 // to the encoding/json oracle.
 func appendAnalyzeResponse(dst []byte, fp, method string, res *repro.Result) []byte {
+	dst = appendAnalyzeEnvelope(dst, fp, method)
+	dst = export.AppendAnalysis(dst, 1, res.Automaton, res.Lookahead, res.Tables, res.DP, method)
+	return append(dst, "\n}\n"...)
+}
+
+// appendAnalyzeEnvelope appends an analyze body's envelope through the
+// "report" key.
+func appendAnalyzeEnvelope(dst []byte, fp, method string) []byte {
 	dst = append(dst, "{\n  \"schema\": "...)
 	dst = export.AppendString(dst, Schema)
 	dst = append(dst, ",\n  \"kind\": \"analyze\",\n  \"fingerprint\": "...)
 	dst = export.AppendString(dst, fp)
 	dst = append(dst, ",\n  \"method\": "...)
 	dst = export.AppendString(dst, method)
-	dst = append(dst, ",\n  \"report\": "...)
-	dst = export.AppendAnalysis(dst, 1, res.Automaton, res.Lookahead, res.Tables, res.DP, method)
-	return append(dst, "\n}\n"...)
+	return append(dst, ",\n  \"report\": "...)
+}
+
+// analyzeBodyNamed reports whether body, an analyze body frozen under
+// fingerprint fp, answers a request with this filename.  The
+// fingerprint addresses the grammar text and method, but the report
+// also names the grammar after the filename, so a body frozen for one
+// filename must not answer a request made with another.
+func analyzeBodyNamed(body []byte, fp, method, filename string) bool {
+	head := appendAnalyzeEnvelope(nil, fp, method)
+	return bytes.HasPrefix(body, export.AppendAnalysisHead(head, 1, grammar.NameOf(filename)))
 }
 
 // LintRequest is the POST /v1/lint body.  The option fields mirror

@@ -346,8 +346,9 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeCached writes a success body that may have come from the cache,
 // stamping the X-Repro-Cache header ("hit", "miss", "coalesced",
-// "frozen" or "peer") so clients (and the bench's serve-load mode) can
-// tell how they were served without the body differing by a byte.
+// "frozen" or "peer") so clients (and lalrdbench, which checks each
+// op's outcome) can tell how they were served without the body
+// differing by a byte.
 func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, body []byte, out cache.Outcome) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Repro-Cache", out.String())
@@ -477,10 +478,13 @@ func (s *Server) analyzeOne(ctx context.Context, src, filename string, method re
 		// Warm-restart path: a frozen table for this fingerprint carries
 		// the canonical response body, so the whole analysis pipeline —
 		// and its phase spans — is skipped.  The fingerprint is a content
-		// address of (src, method), so a hit is exact by construction.
+		// address of (src, method), so a hit is exact by construction
+		// once the body names the grammar as this request's filename
+		// does; a body frozen under another filename is recomputed and
+		// re-frozen below.
 		if s.store != nil {
 			switch ft, err := s.store.Load(fp); {
-			case err == nil && len(ft.Body) > 0:
+			case err == nil && analyzeBodyNamed(ft.Body, fp, method.String(), filename):
 				fromStore = true
 				return ft.Body, nil
 			case errors.Is(err, frozen.ErrCorrupt):
@@ -507,7 +511,17 @@ func (s *Server) analyzeOne(ctx context.Context, src, filename string, method re
 		if s.cluster != nil {
 			switch raw, from, ferr := s.cluster.Fetch(cctx, fp); {
 			case ferr == nil:
-				if ft, derr := frozen.Decode(raw); derr == nil && ft.Fingerprint == fp && len(ft.Body) > 0 {
+				ft, derr := frozen.Decode(raw)
+				if derr != nil || ft.Fingerprint != fp || len(ft.Body) == 0 {
+					// Config.Verify normally rejects this inside the fetch; a
+					// cluster wired without it still must not serve bad bytes.
+					s.addCounter("peer_degrades", 1)
+					s.logf("peer fill %s from %s: undecodable bytes", fp, from)
+					break
+				}
+				// The owner may hold the body under another filename; then
+				// compute, like a miss.
+				if analyzeBodyNamed(ft.Body, fp, method.String(), filename) {
 					fromPeer = true
 					if s.store != nil {
 						if perr := s.store.PutBytes(fp, raw); perr != nil {
@@ -517,10 +531,6 @@ func (s *Server) analyzeOne(ctx context.Context, src, filename string, method re
 					}
 					return ft.Body, nil
 				}
-				// Config.Verify normally rejects this inside the fetch; a
-				// cluster wired without it still must not serve bad bytes.
-				s.addCounter("peer_degrades", 1)
-				s.logf("peer fill %s from %s: undecodable bytes", fp, from)
 			case errors.Is(ferr, cluster.ErrNotFound), errors.Is(ferr, cluster.ErrNoPeers):
 				// A healthy "nobody has it": compute without ceremony.
 			default:

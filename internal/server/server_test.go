@@ -77,6 +77,9 @@ func metricz(t *testing.T, ts *httptest.Server) MetriczResponse {
 	if err := json.Unmarshal(body, &m); err != nil {
 		t.Fatalf("/metricz body: %v", err)
 	}
+	if m.Schema != Schema || m.Kind != "metricz" {
+		t.Fatalf("/metricz envelope = %s/%s", m.Schema, m.Kind)
+	}
 	return m
 }
 
@@ -195,8 +198,9 @@ func TestLimitTripIs422AndServerSurvives(t *testing.T) {
 	// Failures are not cached: the same grammar without limits
 	// computes fine, and the server kept serving throughout.
 	resp2, _ := post(t, ts, "/v1/analyze", AnalyzeRequest{Grammar: tinyGrammar})
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("after limit trip: status = %d, want 200", resp2.StatusCode)
+	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("X-Repro-Cache") != "miss" {
+		t.Fatalf("after limit trip: status = %d cache = %s, want 200 miss (the 422 must not be cached)",
+			resp2.StatusCode, resp2.Header.Get("X-Repro-Cache"))
 	}
 	// And now that a result exists, even a tightly-limited request is
 	// served from cache — a hit spends no governed resources.

@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/cliguard"
 	"repro/internal/telemetry"
 )
 
@@ -229,7 +229,8 @@ func TestHealthzUptimeAndBuild(t *testing.T) {
 func TestAccessLogJSONRecords(t *testing.T) {
 	var mu sync.Mutex
 	var buf bytes.Buffer
-	logger := slog.New(slog.NewJSONHandler(lockedWriter{&mu, &buf}, nil))
+	// The logger lalrd builds for -log-format json.
+	logger := cliguard.LogFormat("json").Logger(lockedWriter{&mu, &buf})
 	ts := newTestServer(t, Config{CacheBytes: 1 << 20, AccessLog: logger})
 
 	resp, _ := post(t, ts, "/v1/analyze", AnalyzeRequest{Grammar: tinyGrammar})

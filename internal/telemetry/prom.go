@@ -209,8 +209,9 @@ var (
 // their declaration, and histogram families are internally consistent
 // — per series, bucket counts are monotone non-decreasing as `le`
 // rises, an le="+Inf" bucket exists, and _count equals it.  It is the
-// assertion behind `make telemetry-smoke`: if lalrd's /metricz?format=prom
-// drifts out of the format, CI fails here rather than in a scrape.
+// assertion behind internal/server's TestMetriczPromExposition: if
+// lalrd's /metricz?format=prom drifts out of the format, go test fails
+// here rather than a scrape.
 func ValidateProm(data []byte) error {
 	type series struct {
 		les    []float64
