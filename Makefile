@@ -46,9 +46,11 @@ race:
 
 # One-iteration pass over every benchmark: catches bit-rot in the bench
 # code (and the alloc-regression gates' setup) without paying for real
-# measurement.
+# measurement.  BenchmarkPeerFill is the fill path's B/op and allocs/op
+# over a loopback fleet.
 benchsmoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -bench PeerFill -benchtime 1x -run '^$$' ./internal/server
 
 # Smoke-check the instrumented pipeline end to end: the metrics emitter
 # exercises LR(0) construction, all look-ahead methods, table build and

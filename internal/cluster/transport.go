@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"repro/internal/frozen"
 )
 
 // ErrNotFound is the authoritative "the peer is healthy and does not
@@ -20,6 +22,8 @@ var ErrNotFound = errors.New("cluster: peer does not have the table")
 type Transport interface {
 	// Fetch retrieves the raw FRZ1 bytes for a fingerprint from a peer,
 	// returning ErrNotFound when the peer authoritatively lacks it.
+	// The bytes are the caller's to keep; any other error, a record
+	// past frozen.MaxRecordBytes included, counts against the peer.
 	Fetch(ctx context.Context, peer, fingerprint string) ([]byte, error)
 	// Offer pushes raw FRZ1 bytes to the peer that owns the
 	// fingerprint, so ring owners converge to hold their key range
@@ -34,7 +38,10 @@ const PeerTablePath = "/v1/peer/table/"
 // HTTPTransport is the production Transport: peer base URLs are lalrd
 // addresses, exchanges are plain HTTP against PeerTablePath.  Request
 // lifetimes come from the caller's contexts, so the client needs no
-// global timeout.
+// global timeout.  A fetched record is read with frozen.ReadRecord:
+// exactly its Content-Length into one allocation, bounded by
+// frozen.MaxRecordBytes; an owner that sends no length (an older lalrd
+// answering chunked) is read to EOF under the same bound.
 type HTTPTransport struct {
 	// Client is the HTTP client to use; nil uses a zero http.Client.
 	Client *http.Client
@@ -60,7 +67,7 @@ func (t *HTTPTransport) Fetch(ctx context.Context, peer, fingerprint string) ([]
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		return io.ReadAll(resp.Body)
+		return frozen.ReadRecord(resp.Body, resp.ContentLength)
 	case http.StatusNotFound:
 		io.Copy(io.Discard, resp.Body)
 		return nil, ErrNotFound

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// TestLoadBytesAndPutBytesRoundTrip covers the peer-exchange surface:
+// TestAppendBytesAndPutBytesRoundTrip covers the peer-exchange surface:
 // raw bytes out of one store must validate into another and load back
 // identically.
-func TestLoadBytesAndPutBytesRoundTrip(t *testing.T) {
+func TestAppendBytesAndPutBytesRoundTrip(t *testing.T) {
 	a, err := OpenStore(filepath.Join(t.TempDir(), "a"))
 	if err != nil {
 		t.Fatal(err)
@@ -22,18 +22,18 @@ func TestLoadBytesAndPutBytesRoundTrip(t *testing.T) {
 	}
 	td, _ := goldenData(t)
 
-	if _, err := a.LoadBytes(td.Fingerprint); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("cold LoadBytes: %v, want ErrNotFound", err)
+	if _, err := a.AppendBytes(nil, td.Fingerprint); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("cold AppendBytes: %v, want ErrNotFound", err)
 	}
 	if err := a.Save(td); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := a.LoadBytes(td.Fingerprint)
+	raw, err := a.AppendBytes(nil, td.Fingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, Freeze(td)) {
-		t.Fatal("LoadBytes diverges from the frozen encoding")
+		t.Fatal("AppendBytes diverges from the frozen encoding")
 	}
 
 	if err := b.PutBytes(td.Fingerprint, raw); err != nil {
@@ -139,5 +139,52 @@ func TestQuarantineMissingIsNoop(t *testing.T) {
 	}
 	if err := s.Quarantine("../escape"); err == nil {
 		t.Fatal("hostile fingerprint not rejected")
+	}
+}
+
+// TestAppendBytesAppendsAfterDst: AppendBytes appends the record after
+// what dst holds, leaving that prefix alone, and on every refusal —
+// absent, corrupt, or recording another fingerprint — hands dst back
+// unextended.
+func TestAppendBytesAppendsAfterDst(t *testing.T) {
+	s, err := OpenStore(filepath.Join(t.TempDir(), "s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	td, _ := goldenData(t)
+	if err := s.Save(td); err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("prefix")
+	got, err := s.AppendBytes(append(make([]byte, 0, 8), prefix...), td.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, append(append([]byte(nil), prefix...), Freeze(td)...)) {
+		t.Fatal("AppendBytes did not append the record after dst")
+	}
+
+	p := filepath.Join(s.Dir(), td.Fingerprint+".frz")
+	lie := "3333333333333333333333333333333333333333333333333333333333333333"
+	if err := os.WriteFile(filepath.Join(s.Dir(), lie+".frz"), Freeze(td), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mut := Freeze(td)
+	mut[len(mut)/2] ^= 0x5a
+	if err := os.WriteFile(p, mut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		fp   string
+		want error
+	}{
+		{td.Fingerprint, ErrCorrupt},
+		{lie, ErrCorrupt},
+		{"4444444444444444444444444444444444444444444444444444444444444444", ErrNotFound},
+	} {
+		got, err := s.AppendBytes(prefix, c.fp)
+		if !errors.Is(err, c.want) || !bytes.Equal(got, prefix) {
+			t.Errorf("AppendBytes(%s…) = %q, %v; want the prefix back and %v", c.fp[:8], got, err, c.want)
+		}
 	}
 }

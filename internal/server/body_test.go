@@ -161,27 +161,68 @@ func TestMissTraceNamesServerSpans(t *testing.T) {
 	}
 }
 
-// TestFrozenBodyAnswersOnlyItsFilename: the fingerprint addresses the
-// grammar text, but the body names the grammar after the request's
+// TestFrozenAndPeerBodiesSpliceTheFilename: the fingerprint addresses
+// the grammar text, but the body names the grammar after the request's
 // filename.  A store or a ring owner holding the text under another
-// filename must not answer for this one: the request recomputes, and
-// its body is the library's for its own name.
-func TestFrozenBodyAnswersOnlyItsFilename(t *testing.T) {
-	_, want := post(t, newTestServer(t, Config{}), "/v1/analyze", AnalyzeRequest{Grammar: danglingElse, Filename: "b.y"})
-
-	ts := newTestServer(t, Config{CacheBytes: 1 << 20, StoreDir: filepath.Join(t.TempDir(), "store")})
+// filename answers frozen or peer all the same, with the request's
+// name spliced in: the body is the library's for its own name, escapes
+// in either name included, and the stored record is left as it was.
+func TestFrozenAndPeerBodiesSpliceTheFilename(t *testing.T) {
+	library := newTestServer(t, Config{})
+	want := func(src, filename string) []byte {
+		_, body := post(t, library, "/v1/analyze", AnalyzeRequest{Grammar: src, Filename: filename})
+		return body
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	ts := newTestServer(t, Config{CacheBytes: 1 << 20, StoreDir: dir})
 	post(t, ts, "/v1/analyze", AnalyzeRequest{Grammar: danglingElse, Filename: "a.y"})
-	resp, got := post(t, ts, "/v1/analyze", AnalyzeRequest{Grammar: danglingElse, Filename: "b.y"})
-	if out := resp.Header.Get("X-Repro-Cache"); out != "miss" || !bytes.Equal(got, want) {
-		t.Errorf("store holding a.y: b.y answered %q, body identical to the library's: %t", out, bytes.Equal(got, want))
+	fp := repro.Fingerprint(danglingElse, repro.Options{})
+	record, err := os.ReadFile(filepath.Join(dir, fp+".frz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"b.y", "dir/q\"\\\u00fc\x01.y", "a-much-longer-grammar-name.y"} {
+		resp, got := post(t, ts, "/v1/analyze", AnalyzeRequest{Grammar: danglingElse, Filename: name})
+		if out := resp.Header.Get("X-Repro-Cache"); out != "frozen" || !bytes.Equal(got, want(danglingElse, name)) {
+			t.Errorf("store holding a.y: %q answered %q, body identical to the library's: %t", name, out, bytes.Equal(got, want(danglingElse, name)))
+		}
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, fp+".frz")); err != nil || !bytes.Equal(after, record) {
+		t.Errorf("splicing rewrote the stored record (err %v)", err)
 	}
 
 	nodes := newFleet(t, 2, nil, nil)
 	src, _ := grammarOwnedBy(t, nodes[0].cl, nodes[1].url)
-	_, want = post(t, newTestServer(t, Config{}), "/v1/analyze", AnalyzeRequest{Grammar: src, Filename: "b.y"})
 	post(t, nodes[1].ts, "/v1/analyze", AnalyzeRequest{Grammar: src, Filename: "a.y"})
-	resp, got = post(t, nodes[0].ts, "/v1/analyze", AnalyzeRequest{Grammar: src, Filename: "b.y"})
-	if out := resp.Header.Get("X-Repro-Cache"); out != "miss" || !bytes.Equal(got, want) {
-		t.Errorf("owner holding a.y: b.y answered %q, body identical to the library's: %t", out, bytes.Equal(got, want))
+	resp, got := post(t, nodes[0].ts, "/v1/analyze", AnalyzeRequest{Grammar: src, Filename: "b.y"})
+	if out := resp.Header.Get("X-Repro-Cache"); out != "peer" || !bytes.Equal(got, want(src, "b.y")) {
+		t.Errorf("owner holding a.y: b.y answered %q, body identical to the library's: %t", out, bytes.Equal(got, want(src, "b.y")))
+	}
+}
+
+// TestAnalyzeBodyAsRejectsForeignBodies: a record whose body does not
+// open like an analyze body for its fingerprint and method, or whose
+// grammar name is cut short, answers nothing, so the request computes.
+func TestAnalyzeBodyAsRejectsForeignBodies(t *testing.T) {
+	head := export.AppendAnalysisHead(appendAnalyzeEnvelope(nil, "fp", "dp"), 1, `a"b`)
+	body := append(append([]byte(nil), head...), ",\n rest"...)
+	if got, ok := analyzeBodyAs(body, "fp", "dp", `a"b.y`); !ok || &got[0] != &body[0] {
+		t.Errorf("same name: ok %t, want the stored body itself", ok)
+	}
+	if got, ok := analyzeBodyAs(body, "fp", "dp", "c.y"); !ok || !bytes.HasSuffix(got, []byte("\"c\",\n rest")) {
+		t.Errorf("other name: ok %t, body %q", ok, got)
+	}
+	for _, b := range [][]byte{
+		head[:len(head)-1],             // the name's string never closes
+		head[:len(head)-len(`"a\"b"`)], // no name at all
+		[]byte("{}"),
+		nil,
+	} {
+		if _, ok := analyzeBodyAs(b, "fp", "dp", "c.y"); ok {
+			t.Errorf("answered with %q", b)
+		}
+	}
+	if _, ok := analyzeBodyAs(body, "other", "dp", "c.y"); ok {
+		t.Error("answered for another fingerprint")
 	}
 }

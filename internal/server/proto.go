@@ -78,14 +78,50 @@ func appendAnalyzeEnvelope(dst []byte, fp, method string) []byte {
 	return append(dst, ",\n  \"report\": "...)
 }
 
-// analyzeBodyNamed reports whether body, an analyze body frozen under
-// fingerprint fp, answers a request with this filename.  The
-// fingerprint addresses the grammar text and method, but the report
-// also names the grammar after the filename, so a body frozen for one
-// filename must not answer a request made with another.
-func analyzeBodyNamed(body []byte, fp, method, filename string) bool {
-	head := appendAnalyzeEnvelope(nil, fp, method)
-	return bytes.HasPrefix(body, export.AppendAnalysisHead(head, 1, grammar.NameOf(filename)))
+// analyzeBodyAs returns body, an analyze body frozen under fingerprint
+// fp, as it answers a request with this filename.  The fingerprint
+// addresses the grammar text and method; the report's grammar name,
+// which Parse takes from the filename, is the one byte range the
+// filename decides (see export.AppendAnalysisHead).  So a body frozen
+// under another filename is spliced: this request's head, then the
+// rest of the stored body after the stored name.  It allocates only
+// when the names differ, and never writes to body.  It reports false
+// when body does not start like an analyze body for fp and method.
+func analyzeBodyAs(body []byte, fp, method, filename string) ([]byte, bool) {
+	buf := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(buf)
+	head := export.AppendAnalysisHead(appendAnalyzeEnvelope((*buf)[:0], fp, method), 1, "")
+	at := len(head) - len(`""`) // the name's JSON string starts here
+	head = export.AppendString(head[:at], grammar.NameOf(filename))
+	*buf = head
+	if bytes.HasPrefix(body, head) {
+		return body, true
+	}
+	if !bytes.HasPrefix(body, head[:at]) {
+		return nil, false
+	}
+	end := jsonStringEnd(body, at)
+	if end < 0 {
+		return nil, false
+	}
+	return append(append(make([]byte, 0, len(head)+len(body)-end), head...), body[end:]...), true
+}
+
+// jsonStringEnd returns the offset just past the JSON string that
+// starts with the quote at b[at], or -1 when b holds no such string.
+func jsonStringEnd(b []byte, at int) int {
+	if at >= len(b) || b[at] != '"' {
+		return -1
+	}
+	for i := at + 1; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			i++ // the escaped byte cannot close the string
+		case '"':
+			return i + 1
+		}
+	}
+	return -1
 }
 
 // LintRequest is the POST /v1/lint body.  The option fields mirror

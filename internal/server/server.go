@@ -480,13 +480,17 @@ func (s *Server) analyzeOne(ctx context.Context, src, filename string, method re
 		// and its phase spans — is skipped.  The fingerprint is a content
 		// address of (src, method), so a hit is exact by construction
 		// once the body names the grammar as this request's filename
-		// does; a body frozen under another filename is recomputed and
-		// re-frozen below.
+		// does; a body frozen under another filename gets this one's
+		// name spliced in (analyzeBodyAs).
 		if s.store != nil {
-			switch ft, err := s.store.Load(fp); {
-			case err == nil && analyzeBodyNamed(ft.Body, fp, method.String(), filename):
-				fromStore = true
-				return ft.Body, nil
+			ft, err := s.store.Load(fp)
+			if err == nil {
+				if body, ok := analyzeBodyAs(ft.Body, fp, method.String(), filename); ok {
+					fromStore = true
+					return body, nil
+				}
+			}
+			switch {
 			case errors.Is(err, frozen.ErrCorrupt):
 				// A damaged file must not poison this fingerprint forever:
 				// move it aside as <fp>.corrupt and recompute — the fresh
@@ -519,9 +523,9 @@ func (s *Server) analyzeOne(ctx context.Context, src, filename string, method re
 					s.logf("peer fill %s from %s: undecodable bytes", fp, from)
 					break
 				}
-				// The owner may hold the body under another filename; then
-				// compute, like a miss.
-				if analyzeBodyNamed(ft.Body, fp, method.String(), filename) {
+				// The owner may hold the body under another filename; the
+				// splice renames it, and the record is stored as fetched.
+				if body, ok := analyzeBodyAs(ft.Body, fp, method.String(), filename); ok {
 					fromPeer = true
 					if s.store != nil {
 						if perr := s.store.PutBytes(fp, raw); perr != nil {
@@ -529,7 +533,7 @@ func (s *Server) analyzeOne(ctx context.Context, src, filename string, method re
 							s.logf("peer fill store %s: %v", fp, perr)
 						}
 					}
-					return ft.Body, nil
+					return body, nil
 				}
 			case errors.Is(ferr, cluster.ErrNotFound), errors.Is(ferr, cluster.ErrNoPeers):
 				// A healthy "nobody has it": compute without ceremony.

@@ -28,14 +28,14 @@ const danglingElse = `
 stmt : IF cond THEN stmt | IF cond THEN stmt ELSE stmt | other ;
 `
 
-func newTestServer(t *testing.T, cfg Config) *httptest.Server {
+func newTestServer(t testing.TB, cfg Config) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(New(cfg))
 	t.Cleanup(ts.Close)
 	return ts
 }
 
-func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Response, []byte) {
+func post(t testing.TB, ts *httptest.Server, path string, body any) (*http.Response, []byte) {
 	t.Helper()
 	data, err := json.Marshal(body)
 	if err != nil {
@@ -53,7 +53,7 @@ func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Respo
 	return resp, out
 }
 
-func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte) {
+func get(t testing.TB, ts *httptest.Server, path string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + path)
 	if err != nil {
