@@ -39,10 +39,12 @@ test:
 # the serial Digraph and prop engines they call.  cmd/lalrd's
 # TestClusterSmoke replays the corpus concurrently over a 3-node fleet.
 # The root package's batch tests push real analyses and lint runs
-# through the worker pool.
+# through the worker pool, and lint's parallel test walks one grammar's
+# conflicts on four workers sharing its automaton and analysis.
 race:
 	$(GO) test -race ./internal/driver/... ./internal/cache/... ./internal/server/... ./internal/telemetry/... ./internal/digraph/... ./internal/prop/... ./internal/frozen/... ./internal/ambig/... ./internal/cluster/... ./cmd/lalrd/...
 	$(GO) test -race -run 'TestAnalyzeAll|TestLintAll' .
+	$(GO) test -race -run TestParallelMatchesSerial ./internal/lint/
 
 # One-iteration pass over every benchmark: catches bit-rot in the bench
 # code (and the alloc-regression gates' setup) without paying for real

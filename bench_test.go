@@ -306,3 +306,23 @@ func BenchmarkAmbigWalk(b *testing.B) {
 		})
 	}
 }
+
+// analysisSink keeps BenchmarkGrammarAnalysis's result live.
+var analysisSink *grammar.Analysis
+
+// BenchmarkGrammarAnalysis measures grammar.Analyze, the FIRST and
+// nullable facts every construction starts from, on each corpus
+// grammar.
+func BenchmarkGrammarAnalysis(b *testing.B) {
+	for _, e := range grammars.All() {
+		e := e
+		b.Run(e.Name, func(b *testing.B) {
+			g := grammars.MustLoad(e.Name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				analysisSink = grammar.Analyze(g)
+			}
+		})
+	}
+}

@@ -215,7 +215,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprint(out, res.Tables.String())
 	}
 	if *probe > 0 {
-		if err := probeAmbiguity(out, g, *probe); err != nil {
+		if err := probeAmbiguity(out, a.An, *probe); err != nil {
 			return err
 		}
 	}
@@ -304,8 +304,9 @@ func run(args []string, out io.Writer) error {
 // probeAmbiguity samples random sentences and counts their parse trees,
 // reporting the first ambiguity witness found.  A conflict report says a
 // grammar is not LALR(1); a witness proves it is not unambiguous at all.
-func probeAmbiguity(out io.Writer, g *repro.Grammar, n int) error {
-	c, err := treecount.New(g)
+func probeAmbiguity(out io.Writer, an *grammar.Analysis, n int) error {
+	g := an.G
+	c, err := treecount.New(an)
 	if err != nil {
 		fmt.Fprintf(out, "ambiguity probe: %v\n", err)
 		return nil

@@ -149,9 +149,6 @@ type Config struct {
 	Bounds   Bounds
 	Budget   *guard.Budget
 	Recorder *obs.Recorder
-	// Gen, when non-nil, reuses an existing counterexample generator
-	// instead of building one.
-	Gen *cex.Generator
 }
 
 // Walker walks SR-automata for one grammar's conflicts.  It is safe
@@ -204,19 +201,16 @@ func New(a *lr0.Automaton, sets [][]bitset.Set, cfg Config) *Walker {
 		a:      a,
 		g:      a.G,
 		sets:   sets,
-		gen:    cfg.Gen,
+		gen:    cex.NewGenerator(a),
 		bounds: cfg.Bounds.withDefaults(),
 		bud:    cfg.Budget,
 		rec:    cfg.Recorder,
-	}
-	if w.gen == nil {
-		w.gen = cex.NewGenerator(a)
 	}
 	w.parser = glr.New(a, sets)
 	w.parser.Budget = cfg.Budget
 	// A cyclic grammar has no finite tree counts; without the second
 	// oracle no candidate can be proven, so every walk is Undecided.
-	w.counter, _ = treecount.New(a.G)
+	w.counter, _ = treecount.New(a.An)
 	w.acceptState = -1
 	for _, s := range a.States {
 		if len(s.Kernel) == 1 && s.Kernel[0] == (lr0.Item{Prod: 0, Dot: 2}) {

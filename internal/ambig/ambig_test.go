@@ -61,7 +61,7 @@ func TestDanglingElseProvenAmbiguous(t *testing.T) {
 	if err != nil || n < 2 {
 		t.Fatalf("fresh GLR check: n=%d err=%v", n, err)
 	}
-	tc, err := treecount.New(g)
+	tc, err := treecount.New(an)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestGLRTreecountDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc, err := treecount.New(g)
+			tc, err := treecount.New(grammar.Analyze(g))
 			if err != nil {
 				t.Skipf("treecount unavailable: %v", err)
 			}

@@ -45,31 +45,9 @@ func (u *Usefulness) Useless(g *Grammar) []string {
 // unreachable).
 func CheckUseful(g *Grammar) *Usefulness {
 	u := &Usefulness{
-		Productive: make([]bool, g.NumNonterminals()),
+		Productive: g.everyRhsHolds(true),
 		Reachable:  make([]bool, g.NumSymbols()),
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := range g.prods {
-			p := &g.prods[i]
-			ni := g.NtIndex(p.Lhs)
-			if u.Productive[ni] {
-				continue
-			}
-			ok := true
-			for _, s := range p.Rhs {
-				if g.IsNonterminal(s) && !u.Productive[g.NtIndex(s)] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				u.Productive[ni] = true
-				changed = true
-			}
-		}
-	}
-
 	prodOK := func(p *Production) bool {
 		for _, s := range p.Rhs {
 			if g.IsNonterminal(s) && !u.Productive[g.NtIndex(s)] {

@@ -1,28 +1,15 @@
 package lint
 
 // Cycle analysis shared by the relation passes.  The strongly connected
-// components come from the Digraph traversal: the look-ahead solve's
-// own for reads and includes, a run with zero-width sets for the
-// derivation graphs.  Lint searches for no SCCs itself; it groups the
+// components come from the Digraph traversals that already ran: the
+// look-ahead solve's for reads and includes, grammar.Analysis's for
+// left-corner and derives-alone.  Only unit-chains runs one of its own,
+// over zero-width sets.  Lint searches for no SCCs itself; it groups the
 // traversal's components and extracts a shortest cycle, so a diagnostic
 // can print a concrete witness path instead of just "the relation is
 // cyclic".
 
-import (
-	"repro/internal/bitset"
-	"repro/internal/digraph"
-)
-
-// components runs Digraph over an adjacency list for its SCC structure
-// alone: zero-width sets make every union free.
-func components(adj [][]int) *digraph.Stats {
-	rel := func(x int, yield func(int)) {
-		for _, y := range adj[x] {
-			yield(y)
-		}
-	}
-	return digraph.Run(len(adj), rel, make([]bitset.Set, len(adj)))
-}
+import "repro/internal/digraph"
 
 // cyclic groups the nontrivial SCCs of a traversal — the components
 // with ≥2 nodes, plus single nodes carrying a self-loop — ordered by

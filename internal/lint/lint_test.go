@@ -440,3 +440,28 @@ func TestCorpusBudgetsKeepLintCorpusGreen(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelMatchesSerial walks one grammar's conflicts on four
+// workers, sharing its automaton and analysis, and checks the report
+// is the serial one.  Under -race it is the check that the walkers'
+// shared reads are race-free; run alone, the ambiguity pass's walkers
+// are also the first to ask for the lazily built derives-alone
+// relation.
+func TestParallelMatchesSerial(t *testing.T) {
+	for _, name := range []string{"lua", "csub", "pascal", "pli"} {
+		for _, enable := range [][]string{nil, {"ambiguity"}} {
+			var serial, parallel bytes.Buffer
+			for _, run := range []struct {
+				out  *bytes.Buffer
+				opts Options
+			}{{&serial, Options{Enable: enable}}, {&parallel, Options{Enable: enable, Parallelism: 4}}} {
+				if err := WriteText(run.out, []*Report{mustRun(t, grammars.MustLoad(name), run.opts)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if serial.String() != parallel.String() {
+				t.Errorf("%s %v: parallel report differs from serial:\n%s\nvs\n%s", name, enable, parallel.String(), serial.String())
+			}
+		}
+	}
+}

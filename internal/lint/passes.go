@@ -7,7 +7,9 @@ package lint
 import (
 	"strings"
 
+	"repro/internal/bitset"
 	"repro/internal/cex"
+	"repro/internal/digraph"
 	"repro/internal/grammar"
 	"repro/internal/lalrtable"
 )
@@ -84,47 +86,18 @@ var unusedTokensAnalyzer = &Analyzer{
 	},
 }
 
-// derivationEdges builds the relation A → B meaning A ⇒+ …B… with the
-// rest of the production nullable — i.e. A derives B alone.  A cycle
-// is a derivation A ⇒+ A, which makes the grammar ambiguous (the cycle
-// can be pumped for extra parse trees).  witness[A][B] remembers the
-// first production realising the edge.
-func derivationEdges(p *Pass) (adj [][]int, witness map[[2]int]int) {
-	g, an := p.G, p.An
-	adj = make([][]int, g.NumNonterminals())
-	witness = map[[2]int]int{}
-	for i := 1; i < len(g.Productions()); i++ { // skip the augmented production
-		pr := g.Prod(i)
-		a := g.NtIndex(pr.Lhs)
-		for k, x := range pr.Rhs {
-			if !g.IsNonterminal(x) {
-				continue
-			}
-			if !an.NullableSeq(pr.Rhs[:k]) || !an.NullableSeq(pr.Rhs[k+1:]) {
-				continue
-			}
-			b := g.NtIndex(x)
-			adj[a] = append(adj[a], b)
-			if _, ok := witness[[2]int{a, b}]; !ok {
-				witness[[2]int{a, b}] = i
-			}
-		}
-	}
-	return adj, witness
-}
-
-// nullable-cycles: derivation cycles A ⇒+ A through nullable context.
+// nullable-cycles: derivation cycles A ⇒+ A through nullable context,
+// the cycles of the analysis's derives-alone relation.  A cycle can be
+// pumped for extra parse trees, so the grammar is ambiguous.
 var nullableCyclesAnalyzer = &Analyzer{
 	Name:  "nullable-cycles",
 	Doc:   "derivation cycles A ⇒+ A through nullable context (ambiguity)",
 	Needs: FactAnalysis,
 	Codes: []Code{CodeDerivationCycle},
 	Run: func(p *Pass) {
-		g := p.G
-		adj, witness := derivationEdges(p)
-		st := components(adj)
-		for _, comp := range cyclic(st) {
-			cyc := shortestCycle(comp[0], adj, st.Comp)
+		g, rel := p.G, p.An.DerivesAlone()
+		for _, comp := range cyclic(rel.Stats) {
+			cyc := shortestCycle(comp[0], rel.Succ, rel.Stats.Comp)
 			if cyc == nil {
 				continue
 			}
@@ -136,16 +109,15 @@ var nullableCyclesAnalyzer = &Analyzer{
 				"nonterminal %s derives itself (%s): the grammar is ambiguous",
 				names[0], strings.Join(names, " ⇒ ")).AtSym(g.NtSym(comp[0]))
 			for i := 0; i+1 < len(cyc); i++ {
-				if pi, ok := witness[[2]int{cyc[i], cyc[i+1]}]; ok {
-					d = d.With("via %s", g.ProdString(pi))
-				}
+				d = d.With("via %s", g.ProdString(rel.Witness(cyc[i], cyc[i+1])))
 			}
 			p.Report(d)
 		}
 	},
 }
 
-// left-recursion: inventory of left-recursive nonterminals (A ⇒+ Aγ).
+// left-recursion: inventory of left-recursive nonterminals (A ⇒+ Aγ),
+// the cycles of the left-corner relation the FIRST solve ran over.
 // LR parsers handle left recursion natively — this is an inventory
 // pass for grammar comprehension and LL-migration estimates.
 var leftRecursionAnalyzer = &Analyzer{
@@ -154,36 +126,16 @@ var leftRecursionAnalyzer = &Analyzer{
 	Needs: FactAnalysis,
 	Codes: []Code{CodeLeftRecursion},
 	Run: func(p *Pass) {
-		g, an := p.G, p.An
-		// A → B when B can begin A's expansion: A → αBβ with α nullable.
-		adj := make([][]int, g.NumNonterminals())
-		witness := map[[2]int]int{}
-		for i := 1; i < len(g.Productions()); i++ {
-			pr := g.Prod(i)
-			a := g.NtIndex(pr.Lhs)
-			for k, x := range pr.Rhs {
-				if g.IsNonterminal(x) && an.NullableSeq(pr.Rhs[:k]) {
-					b := g.NtIndex(x)
-					adj[a] = append(adj[a], b)
-					if _, ok := witness[[2]int{a, b}]; !ok {
-						witness[[2]int{a, b}] = i
-					}
-				}
-				if !an.NullableSym(x) {
-					break
-				}
-			}
-		}
-		st := components(adj)
-		for _, comp := range cyclic(st) {
-			for _, nt := range comp {
+		g, rel := p.G, &p.An.LeftCorner
+		comp := rel.Stats.Comp
+		for _, members := range cyclic(rel.Stats) {
+			for _, nt := range members {
 				d := NewDiag(CodeLeftRecursion, Info,
 					"nonterminal %s is left-recursive", g.SymName(g.NtSym(nt))).AtSym(g.NtSym(nt))
-				for _, b := range adj[nt] {
-					if st.Comp[b] == st.Comp[nt] {
-						if pi, ok := witness[[2]int{nt, b}]; ok {
-							d = d.AtProd(pi).With("via %s", g.ProdString(pi))
-						}
+				for k, b := range rel.Succ[nt] {
+					if comp[b] == comp[nt] {
+						pi := int(rel.Prod[nt][k])
+						d = d.AtProd(pi).With("via %s", g.ProdString(pi))
 						break
 					}
 				}
@@ -214,8 +166,13 @@ var unitChainsAnalyzer = &Analyzer{
 		}
 		// Unit cycles are derivation cycles (GL010's territory) and would
 		// make "longest chain" ill-defined: drop every edge inside an
-		// SCC, leaving an acyclic unit graph.
-		comp := components(adj).Comp
+		// SCC, leaving an acyclic unit graph.  Digraph over zero-width
+		// sets finds the SCCs with every union free.
+		comp := digraph.Run(n, func(x int, yield func(int)) {
+			for _, y := range adj[x] {
+				yield(y)
+			}
+		}, make([]bitset.Set, n)).Comp
 		for x := range adj {
 			kept := adj[x][:0]
 			for _, y := range adj[x] {

@@ -37,64 +37,13 @@ type Counter struct {
 	g *grammar.Grammar
 }
 
-// New builds a Counter, rejecting grammars with derivation cycles.
-func New(g *grammar.Grammar) (*Counter, error) {
-	if hasDerivationCycle(g) {
+// New builds a Counter for an's grammar, rejecting grammars with
+// derivation cycles: cycles of the analysis's derives-alone relation.
+func New(an *grammar.Analysis) (*Counter, error) {
+	if an.DerivesAlone().Stats.Cyclic() {
 		return nil, ErrCyclic
 	}
-	return &Counter{g: g}, nil
-}
-
-// hasDerivationCycle detects A ⇒+ A: a cycle in the graph with an edge
-// A → B whenever some production A → α B β has α and β both nullable.
-func hasDerivationCycle(g *grammar.Grammar) bool {
-	an := grammar.Analyze(g)
-	n := g.NumNonterminals()
-	adj := make([][]int, n)
-	for pi := range g.Productions() {
-		p := g.Prod(pi)
-		rhs := p.Rhs
-		for k, x := range rhs {
-			if !g.IsNonterminal(x) {
-				continue
-			}
-			rest := true
-			for m, y := range rhs {
-				if m == k {
-					continue
-				}
-				if !an.NullableSym(y) {
-					rest = false
-					break
-				}
-			}
-			if rest {
-				adj[g.NtIndex(p.Lhs)] = append(adj[g.NtIndex(p.Lhs)], g.NtIndex(x))
-			}
-		}
-	}
-	// DFS cycle detection.
-	state := make([]uint8, n) // 0 unvisited, 1 on stack, 2 done
-	var visit func(v int) bool
-	visit = func(v int) bool {
-		state[v] = 1
-		for _, w := range adj[v] {
-			if state[w] == 1 {
-				return true
-			}
-			if state[w] == 0 && visit(w) {
-				return true
-			}
-		}
-		state[v] = 2
-		return false
-	}
-	for v := 0; v < n; v++ {
-		if state[v] == 0 && visit(v) {
-			return true
-		}
-	}
-	return false
+	return &Counter{g: an.G}, nil
 }
 
 type symKey struct {

@@ -17,7 +17,7 @@ import (
 func counter(t *testing.T, src string) (*grammar.Grammar, *Counter) {
 	t.Helper()
 	g := grammar.MustParse("t.y", src)
-	c, err := New(g)
+	c, err := New(grammar.Analyze(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +103,13 @@ func TestCyclicGrammarRejected(t *testing.T) {
 		"%%\ns : a s b | 'x' ;\na : ;\nb : ;\n", // cycle through nullables
 	} {
 		g := grammar.MustParse("t.y", src)
-		if _, err := New(g); !errors.Is(err, ErrCyclic) {
+		if _, err := New(grammar.Analyze(g)); !errors.Is(err, ErrCyclic) {
 			t.Errorf("grammar %q: err = %v, want ErrCyclic", src, err)
 		}
 	}
 	// Ordinary recursion is not a derivation cycle.
 	g := grammar.MustParse("t.y", "%token id\n%%\ne : e '+' e | id ;\n")
-	if _, err := New(g); err != nil {
+	if _, err := New(grammar.Analyze(g)); err != nil {
 		t.Errorf("left recursion wrongly rejected: %v", err)
 	}
 }
@@ -130,7 +130,7 @@ stmt : IF cond THEN stmt | IF cond THEN stmt ELSE stmt | other ;
 	rng := rand.New(rand.NewSource(31))
 	for _, src := range srcs {
 		g := grammar.MustParse("t.y", src)
-		c, err := New(g)
+		c, err := New(grammar.Analyze(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestAgreesWithLROnCorpus(t *testing.T) {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			g := grammars.MustLoad(e.Name)
-			c, err := New(g)
+			c, err := New(grammar.Analyze(g))
 			if err != nil {
 				t.Skipf("grammar not countable: %v", err)
 			}
