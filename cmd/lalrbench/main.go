@@ -10,6 +10,7 @@
 //	lalrbench            # all experiments
 //	lalrbench -run III   # only the experiment whose id contains "III"
 //	lalrbench -quick     # smaller scaling sweeps (for CI)
+//	lalrbench file.y...  # Tables I, II and IV for these grammar files
 //
 // Observability flags:
 //
@@ -29,24 +30,26 @@
 // load: cold, hot, lint and fleet replay) is measured by the separate
 // lalrdbench module; see lalrdbench/README.md.
 //
-// Governance flags (the -metrics-out path only — the text tables run
-// trusted corpus grammars):
+// Governance flags (the -metrics-out path and the pass behind Tables I,
+// II and IV; the timing experiments run trusted corpus grammars):
 //
 //	-timeout D       abort the run after wall-clock duration D (e.g. 5s)
 //	-max-states N    abort grammars past N LR(0)/LR(1) states
-//	-keep-going      record aborted grammars in the document (with an
-//	                 "error" field) instead of failing the run
+//	-keep-going      record aborted grammars (an "error" field in the
+//	                 document, a warning line before the tables) instead
+//	                 of failing the run
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
@@ -70,27 +73,54 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "lalrbench:", err)
+		os.Exit(1)
+	}
+}
+
+// experiment is one table or figure.  Tables I, II and IV read the
+// machines of one governed pass per grammar (stats); the others measure
+// the corpus themselves (fn).
+type experiment struct {
+	id, doc string
+	stats   func(ms []*machines) string
+	fn      func(quick bool) string
+}
+
+var experiments = []experiment{
+	{id: "Table-I", doc: "grammar and LR(0)/LR(1) machine statistics", stats: tableI},
+	{id: "Table-II", doc: "DeRemer–Pennello relation statistics", stats: tableII},
+	{id: "Table-III", doc: "look-ahead computation cost by method", fn: tableIII},
+	{id: "Table-IV", doc: "adequacy by method (unresolved conflicts)", stats: tableIV},
+	{id: "Table-V", doc: "parse-table compression (defaults + comb packing)", fn: tableV},
+	{id: "Fig-scaling", doc: "cost growth with grammar size", fn: figScaling},
+	{id: "Fig-digraph", doc: "Digraph vs naive iteration", fn: figDigraph},
+}
+
+func run(args []string, out io.Writer) (err error) {
+	fs := flag.NewFlagSet("lalrbench", flag.ContinueOnError)
 	var (
-		runFilter  = flag.String("run", "", "run only experiments whose id contains this substring")
-		quick      = flag.Bool("quick", false, "smaller scaling sweeps")
-		metricsOut = flag.String("metrics-out", "", "write per-grammar metrics JSON to this file ('-' for stdout) instead of the text tables")
-		parallel   = flag.Int("parallel", 1, "metrics-collection workers (0 = one per CPU); >1 perturbs the timing fields")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		runFilter  = fs.String("run", "", "run only experiments whose id contains this substring")
+		quick      = fs.Bool("quick", false, "smaller scaling sweeps")
+		metricsOut = fs.String("metrics-out", "", "write per-grammar metrics JSON to this file ('-' for stdout) instead of the text tables")
+		parallel   = fs.Int("parallel", 1, "metrics-collection workers (0 = one per CPU); >1 perturbs the timing fields")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
-	gf := cliguard.Register(flag.CommandLine)
-	flag.Parse()
+	gf := cliguard.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lalrbench:", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "lalrbench:", err)
-			os.Exit(1)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -98,52 +128,124 @@ func main() {
 		if *memprofile == "" {
 			return
 		}
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lalrbench:", err)
+		f, ferr := os.Create(*memprofile)
+		if ferr != nil {
+			err = errors.Join(err, ferr)
 			return
 		}
-		defer f.Close()
 		runtime.GC() // materialize the retained heap before writing
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "lalrbench:", err)
-		}
+		err = errors.Join(err, pprof.WriteHeapProfile(f), f.Close())
 	}()
 
 	if *metricsOut != "" {
-		if err := emitMetrics(*metricsOut, *quick, *parallel, gf); err != nil {
-			fmt.Fprintln(os.Stderr, "lalrbench:", err)
-			os.Exit(1)
+		if fs.NArg() > 0 {
+			return errors.New("-metrics-out measures the corpus; it takes no grammar files")
 		}
-		return
+		return emitMetrics(*metricsOut, *quick, *parallel, gf)
 	}
 
-	experiments := []struct {
-		id  string
-		fn  func(quick bool) string
-		doc string
-	}{
-		{"Table-I", tableI, "grammar and LR(0)/LR(1) machine statistics"},
-		{"Table-II", tableII, "DeRemer–Pennello relation statistics"},
-		{"Table-III", tableIII, "look-ahead computation cost by method"},
-		{"Table-IV", tableIV, "adequacy by method (unresolved conflicts)"},
-		{"Table-V", tableV, "parse-table compression (defaults + comb packing)"},
-		{"Fig-scaling", figScaling, "cost growth with grammar size"},
-		{"Fig-digraph", figDigraph, "Digraph vs naive iteration"},
+	// Grammar files select the stats tables over those files; without
+	// them every experiment runs over the corpus.
+	var gs []*grammar.Grammar
+	for _, path := range fs.Args() {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		g, err := grammar.Parse(path, string(src))
+		if err != nil {
+			return err
+		}
+		gs = append(gs, g)
 	}
-	ran := 0
+	var selected []experiment
+	needStats := false
 	for _, e := range experiments {
-		if *runFilter != "" && !strings.Contains(e.id, *runFilter) {
+		if !strings.Contains(e.id, *runFilter) || (fs.NArg() > 0 && e.stats == nil) {
 			continue
 		}
-		ran++
-		fmt.Printf("== %s: %s ==\n\n", e.id, e.doc)
-		fmt.Println(e.fn(*quick))
+		selected = append(selected, e)
+		needStats = needStats || e.stats != nil
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "lalrbench: no experiment matches -run %q\n", *runFilter)
-		os.Exit(1)
+	if len(selected) == 0 {
+		return fmt.Errorf("no experiment matches -run %q", *runFilter)
 	}
+	var ms []*machines
+	if needStats {
+		if gs == nil {
+			for _, e := range grammars.All() {
+				gs = append(gs, grammars.MustLoad(e.Name))
+			}
+		}
+		if ms, err = statsPass(gs, gf, out); err != nil {
+			return err
+		}
+	}
+	for _, e := range selected {
+		fmt.Fprintf(out, "== %s: %s ==\n\n", e.id, e.doc)
+		if e.stats != nil {
+			fmt.Fprintln(out, e.stats(ms))
+		} else {
+			fmt.Fprintln(out, e.fn(*quick))
+		}
+	}
+	return nil
+}
+
+// machines is one grammar's governed pass: its LR(0) automaton, the
+// DeRemer–Pennello result and the canonical LR(1) machine.
+type machines struct {
+	a   *lr0.Automaton
+	dp  *core.Result
+	lr1 *lr1.Machine
+}
+
+// statsPass builds each grammar's machines under the governance flags,
+// once for all the stats tables.  With -keep-going an aborted grammar
+// is left out of the tables and the aborts become one warning line;
+// without it the first abort fails the run.
+func statsPass(gs []*grammar.Grammar, gf *cliguard.Flags, out io.Writer) ([]*machines, error) {
+	ctx, cancel := gf.Context()
+	defer cancel()
+	policy := driver.FailFast
+	if gf.KeepGoing {
+		policy = driver.Collect
+	}
+	ms := make([]*machines, len(gs))
+	err := driver.Run(ctx, len(gs), driver.Options{Workers: 1, Policy: policy},
+		func(ctx context.Context, i int, _ *obs.Recorder) error {
+			g := gs[i]
+			bud := guard.New(ctx, gf.Limits(), nil)
+			bud.SetOwner(g.Name())
+			an := grammar.Analyze(g)
+			a, err := lr0.NewBudgeted(g, an, nil, bud)
+			if err != nil {
+				return err
+			}
+			dp, err := core.ComputeBudgeted(a, nil, bud)
+			if err != nil {
+				return err
+			}
+			m, err := lr1.NewBudgeted(g, an, bud)
+			if err != nil {
+				return err
+			}
+			ms[i] = &machines{a: a, dp: dp, lr1: m}
+			return nil
+		})
+	if err != nil {
+		if !gf.KeepGoing {
+			return nil, err
+		}
+		fmt.Fprintf(out, "warning: continuing past failures: %v\n", err)
+	}
+	kept := ms[:0]
+	for _, m := range ms {
+		if m != nil {
+			kept = append(kept, m)
+		}
+	}
+	return kept, nil
 }
 
 // measure runs f repeatedly until at least 40ms have elapsed (or 1000
@@ -178,26 +280,25 @@ func corpusAutomata() []*lr0.Automaton {
 	return out
 }
 
-func tableI(bool) string {
+func tableI(ms []*machines) string {
 	t := report.New("", "grammar", "terms", "nonterms", "prods",
 		"LR0 states", "LR1 states", "state ratio", "nt-transitions")
-	for _, a := range corpusAutomata() {
-		g := a.G
-		m := lr1.New(g, a.An)
+	for _, m := range ms {
+		g := m.a.G
 		t.Row(g.Name(), g.NumTerminals(), g.NumNonterminals(), len(g.Productions()),
-			len(a.States), len(m.States), float64(len(m.States))/float64(len(a.States)),
-			len(a.NtTrans))
+			len(m.a.States), len(m.lr1.States), float64(len(m.lr1.States))/float64(len(m.a.States)),
+			len(m.a.NtTrans))
 	}
 	t.Note("LR(1) machines are consistently larger; the gap is what LALR avoids paying for")
 	return t.String()
 }
 
-func tableII(bool) string {
+func tableII(ms []*machines) string {
 	t := report.New("", "grammar", "nt-trans", "DR elems", "reads", "includes",
 		"lookback", "inc SCCs", "largest SCC", "inc cyclic")
-	for _, a := range corpusAutomata() {
-		st := core.Compute(a).Stats()
-		t.Row(a.G.Name(), st.NtTransitions, st.DRTotal, st.ReadsEdges,
+	for _, m := range ms {
+		st := m.dp.Stats()
+		t.Row(m.a.G.Name(), st.NtTransitions, st.DRTotal, st.ReadsEdges,
 			st.IncludesEdges, st.LookbackEdges, st.IncludesSCCs, st.LargestIncSCC,
 			st.IncludesCyclic)
 	}
@@ -246,33 +347,21 @@ func tableIII(bool) string {
 	return t.String()
 }
 
-func tableIV(bool) string {
+func tableIV(ms []*machines) string {
 	t := report.New("", "grammar", "LR0 inadequate states", "SLR sr/rr", "LALR sr/rr", "LR1 sr/rr", "SLR == LALR?")
 	unresolvedSR := func(g *grammar.Grammar, term grammar.Sym, prod int) bool {
 		return lalrtable.ResolveShiftReduce(g, term, prod) == lalrtable.DefaultShift
 	}
-	for _, a := range corpusAutomata() {
-		g := a.G
-		m := lr1.New(g, a.An)
-		lalrT := lalrtable.Build(a, core.Compute(a).Sets())
+	for _, m := range ms {
+		a, g := m.a, m.a.G
+		lalrT := lalrtable.Build(a, m.dp.Sets())
 		slrT := lalrtable.Build(a, slr.Compute(a))
 		lsr, lrr := lalrT.Unresolved()
 		ssr, srr := slrT.Unresolved()
-		csr, crr := m.ResolvedConflictCounts(unresolvedSR)
+		csr, crr := m.lr1.ResolvedConflictCounts(unresolvedSR)
 		inad := 0
 		for _, s := range a.States {
-			reds, shifts := 0, 0
-			for _, pi := range s.Reductions {
-				if pi != 0 {
-					reds++
-				}
-			}
-			for _, tr := range s.Transitions {
-				if g.IsTerminal(tr.Sym) {
-					shifts++
-				}
-			}
-			if reds > 1 || (reds == 1 && shifts > 0) {
+			if a.Inadequate(s) {
 				inad++
 			}
 		}
@@ -375,10 +464,6 @@ func figDigraph(quick bool) string {
 	t.Note("the paper's point: its cost is order-independent and linear")
 	return t.String()
 }
-
-// keep report import referenced even if tables change shape during
-// development.
-var _ = sort.Ints
 
 // benchSchema versions the -metrics-out layout (the BENCH_*.json
 // trajectory format).  The per-run observability fragments inside it
@@ -578,7 +663,7 @@ func emitMetrics(path string, quick bool, workers int, gf *cliguard.Flags) error
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "lalrbench: wrote %s (%d grammars)\n", path, len(collectMetricsNames()))
+	fmt.Fprintf(os.Stderr, "lalrbench: wrote %s (%d grammars)\n", path, len(doc.Grammars))
 	return nil
 }
 
@@ -589,12 +674,4 @@ func adjRel(adj [][]int32) digraph.Succ {
 			yield(int(y))
 		}
 	}
-}
-
-func collectMetricsNames() []string {
-	var names []string
-	for _, e := range grammars.All() {
-		names = append(names, e.Name)
-	}
-	return names
 }

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,25 +12,42 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cliguard"
+	"repro/internal/grammar"
 	"repro/internal/grammars"
+	"repro/internal/guard"
 )
+
+// corpusMachines is the stats pass over the corpus, ungoverned.
+func corpusMachines(t *testing.T) []*machines {
+	t.Helper()
+	var gs []*grammar.Grammar
+	for _, e := range grammars.All() {
+		gs = append(gs, grammars.MustLoad(e.Name))
+	}
+	ms, err := statsPass(gs, &cliguard.Flags{}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
 
 // The timing-free experiment tables must render all corpus grammars and
 // their structural columns.
 func TestStructuralTables(t *testing.T) {
-	out := tableI(true)
+	ms := corpusMachines(t)
+	out := tableI(ms)
 	for _, want := range []string{"pascal", "ada", "LR1 states", "state ratio"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table I missing %q:\n%s", want, out)
 		}
 	}
-	out = tableII(true)
+	out = tableII(ms)
 	for _, want := range []string{"includes", "lookback", "inc cyclic"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table II missing %q:\n%s", want, out)
 		}
 	}
-	out = tableIV(true)
+	out = tableIV(ms)
 	for _, want := range []string{"SLR sr/rr", "LALR sr/rr", "LR1 sr/rr", "dangling-else"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table IV missing %q:\n%s", want, out)
@@ -36,6 +56,124 @@ func TestStructuralTables(t *testing.T) {
 	out = tableV(true)
 	if !strings.Contains(out, "ratio") || strings.Contains(out, "verification failed") {
 		t.Errorf("Table V malformed:\n%s", out)
+	}
+}
+
+// corpusTableIV is Table IV of EXPERIMENTS.md.  The LR(1) column
+// counts the conflicts precedence leaves unresolved, like the SLR and
+// LALR columns, so adequacy is monotone along each row.
+const corpusTableIV = `== Table-IV: adequacy by method (unresolved conflicts) ==
+
+grammar        LR0 inadequate states  SLR sr/rr  LALR sr/rr  LR1 sr/rr  SLR == LALR?
+------------------------------------------------------------------------------------
+ada                               45        0/9         0/0        0/0         false
+algol                             49        1/0         0/0        0/0         false
+assignment                         1        1/0         0/0        0/0         false
+csub                              38        8/0         1/0        2/0         false
+dangling-else                      1        1/0         1/0        1/0          true
+expr                               2        0/0         0/0        0/0          true
+expr-prec                          6        0/0         0/0        0/0          true
+fortran                           36        0/0         0/0        0/0          true
+json                               0        0/0         0/0        0/0          true
+lua                               42       3/19         1/1       10/5         false
+not-lalr                           1        0/2         0/2        0/0          true
+oberon                            33        0/0         0/0        0/0          true
+pascal                            24        1/7         1/0        2/0         false
+pli                               24        1/1         1/0        3/0         false
+sql                               44        0/0         0/0        0/0          true
+note: LR(1) entry counts can exceed LALR's on inadequate grammars: state splitting replicates the same conflict
+note: adequacy is monotone LR(0) ≤ SLR ≤ LALR ≤ LR(1); SLR suffices for most practical grammars
+
+`
+
+// The corpus Table IV rows are pinned, run end to end through the
+// command's flag parsing.
+func TestCorpusTables(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"-run", "Table-IV"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != corpusTableIV {
+		t.Errorf("Table IV:\n%s\nwant\n%s", got, corpusTableIV)
+	}
+}
+
+// Grammar files select Tables I, II and IV over those files.
+func TestFileMode(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "tiny.y")
+	if err := os.WriteFile(file, []byte("%token A\n%%\ns : A ;\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := run([]string{file}, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{"== Table-I:", "== Table-II:", "== Table-IV:"} {
+		if strings.Count(out, want) != 1 {
+			t.Errorf("file-mode output has %d %q headers:\n%s", strings.Count(out, want), want, out)
+		}
+	}
+	if n := strings.Count(out, "\ntiny "); n != 3 {
+		t.Errorf("file-mode output has %d rows for tiny, want 3:\n%s", n, out)
+	}
+	if strings.Contains(out, "Table-III") || strings.Contains(out, "pascal") {
+		t.Errorf("file mode ran a corpus experiment:\n%s", out)
+	}
+	if err := run([]string{"-run", "III", file}, &b); err == nil {
+		t.Error("-run of a timing experiment with grammar files should fail")
+	}
+}
+
+func TestFileErrors(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"/no/such.y"}, &b); err == nil {
+		t.Error("missing file should fail")
+	}
+	bad := filepath.Join(t.TempDir(), "bad.y")
+	if err := os.WriteFile(bad, []byte("not a grammar"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{bad}, &b); err == nil {
+		t.Error("malformed grammar should fail")
+	}
+	if err := run([]string{"-metrics-out", "-", bad}, &b); err == nil {
+		t.Error("-metrics-out with grammar files should fail")
+	}
+}
+
+// The stats pass runs under the governance flags: -max-states bounds
+// the LR(1) machine as well as LR(0) (pascal has 196 LR(0) and 966
+// LR(1) states), and -keep-going turns the abort into a warning line
+// and leaves the grammar out of the tables.
+func TestFileGovernance(t *testing.T) {
+	dir := t.TempDir()
+	tiny := filepath.Join(dir, "tiny.y")
+	big := filepath.Join(dir, "big.y")
+	if err := os.WriteFile(tiny, []byte("%token A\n%%\ns : A ;\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(big, []byte(grammars.MustLoad("pascal").WriteYacc()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	err := run([]string{"-max-states", "500", tiny, big}, &b)
+	var lim *guard.ErrLimitExceeded
+	if !errors.As(err, &lim) || lim.Resource != guard.ResLR1States {
+		t.Fatalf("err = %v, want an LR(1) state limit trip", err)
+	}
+	b.Reset()
+	if err := run([]string{"-max-states", "500", "-keep-going", "-run", "Table-I", tiny, big}, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if !strings.HasPrefix(out, "warning: continuing past failures: ") || !strings.Contains(out, "\ntiny ") ||
+		strings.Contains(out, "\nbig ") {
+		t.Errorf("keep-going output:\n%s", out)
+	}
+	ctxErr := run([]string{"-timeout", "1ns", tiny}, &b)
+	if !errors.Is(ctxErr, context.DeadlineExceeded) {
+		t.Errorf("-timeout 1ns: err = %v, want the deadline", ctxErr)
 	}
 }
 

@@ -156,16 +156,15 @@ type Config struct {
 // (the lint fan-out forks one per conflict); a single Walker is
 // single-goroutine.
 type Walker struct {
-	a           *lr0.Automaton
-	g           *grammar.Grammar
-	sets        [][]bitset.Set
-	gen         *cex.Generator
-	parser      *glr.Parser
-	counter     *treecount.Counter // nil when the grammar has derivation cycles
-	acceptState int
-	bounds      Bounds
-	bud         *guard.Budget
-	rec         *obs.Recorder
+	a       *lr0.Automaton
+	g       *grammar.Grammar
+	sets    [][]bitset.Set
+	gen     *cex.Generator
+	parser  *glr.Parser
+	counter *treecount.Counter // nil when the grammar has derivation cycles
+	bounds  Bounds
+	bud     *guard.Budget
+	rec     *obs.Recorder
 
 	// pred[s] lists the automaton's in-edges of state s; dist0[s] is
 	// the edge-count distance from the start state (-1 if unreachable).
@@ -211,12 +210,6 @@ func New(a *lr0.Automaton, sets [][]bitset.Set, cfg Config) *Walker {
 	// A cyclic grammar has no finite tree counts; without the second
 	// oracle no candidate can be proven, so every walk is Undecided.
 	w.counter, _ = treecount.New(a.An)
-	w.acceptState = -1
-	for _, s := range a.States {
-		if len(s.Kernel) == 1 && s.Kernel[0] == (lr0.Item{Prod: 0, Dot: 2}) {
-			w.acceptState = s.Index
-		}
-	}
 	n := len(a.States)
 	w.numSyms = a.G.NumSymbols()
 	w.gotoTab = make([]int32, n*w.numSyms)

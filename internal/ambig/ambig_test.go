@@ -148,9 +148,9 @@ func TestCorpusWalksComplete(t *testing.T) {
 			a := lr0.New(g, an)
 			sets := core.Compute(a).Sets()
 			tables := lalrtable.Build(a, sets)
-			bud := guard.New(context.Background(), guard.Limits{
-				Deadline: time.Now().Add(5 * time.Second), CheckEvery: 16,
-			}, nil)
+			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(5*time.Second))
+			defer cancel()
+			bud := guard.New(ctx, guard.Limits{CheckEvery: 16}, nil)
 			rec := obs.New()
 			w := New(a, sets, Config{
 				Bounds:   Bounds{MaxLen: 8, MaxPairs: 512},

@@ -42,9 +42,9 @@ func FuzzAmbig(f *testing.F) {
 		if err != nil {
 			return
 		}
-		limits := limits
-		limits.Deadline = time.Now().Add(2 * time.Second)
-		bud := guard.New(context.Background(), limits, nil)
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(2*time.Second))
+		defer cancel()
+		bud := guard.New(ctx, limits, nil)
 		an := grammar.Analyze(g)
 		a, err := lr0.NewBudgeted(g, an, nil, bud)
 		if err != nil {

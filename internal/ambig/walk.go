@@ -169,7 +169,7 @@ func (w *Walker) accepts(stack int32) (n int, truncated bool) {
 	out, trunc := w.succ(w.bufA[:0], stack, grammar.EOF)
 	w.bufA = out
 	for _, s := range out {
-		if int(w.nodes[s].state) == w.acceptState {
+		if int(w.nodes[s].state) == w.a.Accept {
 			n++
 		}
 	}
@@ -353,7 +353,7 @@ func (w *Walker) walk(c lalrtable.Conflict) Verdict {
 		// ever clear the second oracle.
 		return undecided(c, st, "cyclic grammar: tree oracle unavailable")
 	}
-	if w.acceptState < 0 || w.dist0[c.State] < 0 {
+	if w.dist0[c.State] < 0 {
 		return undecided(c, st, "conflict state unreachable")
 	}
 
@@ -498,7 +498,7 @@ func (w *Walker) walk(c lalrtable.Conflict) Verdict {
 // fatal (aborts the walk); any other oracle failure merely rejects the
 // candidate.
 func (w *Walker) confirm(c lalrtable.Conflict, wit []grammar.Sym, st *Stats) (*Verdict, error) {
-	n, err := w.parser.Recognize(wit)
+	n, ds, err := w.parser.Walk(wit, 2)
 	if err != nil {
 		if errors.Is(err, guard.ErrCanceled) {
 			return nil, err
@@ -525,9 +525,8 @@ func (w *Walker) confirm(c lalrtable.Conflict, wit []grammar.Sym, st *Stats) (*V
 		Witness:     wit,
 		Derivations: n,
 		Trees:       trees,
-	}
-	if ds, derr := w.parser.Derivations(wit, 2); derr == nil && len(ds) >= 2 {
-		v.DerivA, v.DerivB = ds[0], ds[1]
+		DerivA:      ds[0],
+		DerivB:      ds[1],
 	}
 	st.Reason = "witness"
 	v.Stats = *st

@@ -46,6 +46,7 @@ type Generator struct {
 	minStr map[grammar.Sym][]grammar.Sym
 	// dist and via encode shortest terminal paths from state 0:
 	// via[q] is the (state, symbol) edge ending a shortest path to q.
+	// They are computed on the first ForState call.
 	dist []int
 	via  []edge
 }
@@ -90,7 +91,6 @@ func NewGenerator(a *lr0.Automaton) *Generator {
 			}
 		}
 	}
-	gen.shortestPaths()
 	return gen
 }
 
@@ -167,6 +167,9 @@ func (gen *Generator) shortest(s grammar.Sym) []grammar.Sym {
 // unreachable by terminal-derivable paths (cannot happen for reduced
 // grammars).
 func (gen *Generator) ForState(state int) []grammar.Sym {
+	if gen.dist == nil {
+		gen.shortestPaths()
+	}
 	if gen.dist[state] >= lenCap {
 		return nil
 	}

@@ -128,6 +128,10 @@ func TestCorpusConflictExamples(t *testing.T) {
 func TestForStateStartAndReachability(t *testing.T) {
 	a, _ := analyze(t, "%token A\n%%\ns : A ;\n")
 	gen := NewGenerator(a)
+	gen.Expand([]grammar.Sym{a.G.Start()})
+	if gen.dist != nil {
+		t.Error("shortest paths computed before the first ForState")
+	}
 	if got := gen.ForState(0); len(got) != 0 {
 		t.Errorf("prefix for start state = %v, want empty", got)
 	}

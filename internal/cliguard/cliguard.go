@@ -1,9 +1,9 @@
 // Package cliguard registers the resource-governance flags shared by
-// the CLI tools (lalrgen, grammarlint, grammarstat, lalrbench) and the
-// lalrd server, translating them into the guard vocabulary: -timeout
-// becomes a context deadline, -max-states becomes state-count
-// ceilings, and -keep-going selects the batch policy that survives
-// individual failures.  Keeping the translation in one place keeps the
+// the CLI tools (lalrgen, grammarlint, lalrbench) and the lalrd
+// server, translating them into the guard vocabulary: -timeout becomes
+// a context deadline, -max-states becomes state-count ceilings, and
+// -keep-going selects the batch policy that survives individual
+// failures.  Keeping the translation in one place keeps the
 // tools' flag surfaces identical; lalrd registers the same governance
 // flags (reinterpreted per request) plus its capacity flags via
 // RegisterServer.

@@ -48,12 +48,10 @@ type Config struct {
 	// peer can never starve the local-compute fallback (0 = default).
 	PeerTimeout time.Duration
 	// BreakerFailures trips a peer's breaker after that many
-	// consecutive errors; BreakerWindow/BreakerRatio trip it on
-	// failure rate; BreakerCooldown is the open period before a
-	// half-open probe (0 = defaults each).
+	// consecutive errors; BreakerCooldown is the open period before a
+	// half-open probe (0 = defaults each).  The failure-rate trip uses
+	// DefaultBreakerWindow and DefaultBreakerRatio.
 	BreakerFailures int
-	BreakerWindow   int
-	BreakerRatio    float64
 	BreakerCooldown time.Duration
 	// Transport moves bytes; it must be set.
 	Transport Transport
@@ -122,8 +120,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	bcfg := breakerConfig{
 		failures: cfg.BreakerFailures,
-		window:   cfg.BreakerWindow,
-		ratio:    cfg.BreakerRatio,
 		cooldown: cfg.BreakerCooldown,
 	}
 	for _, u := range cfg.Peers {

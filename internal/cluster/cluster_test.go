@@ -105,7 +105,6 @@ func newTestCluster(t *testing.T, ft *fakeTransport, mut func(*Config)) *Cluster
 		Peers:           []string{selfURL, peerA, peerB},
 		PeerTimeout:     200 * time.Millisecond,
 		BreakerFailures: 3,
-		BreakerWindow:   8,
 		BreakerCooldown: 50 * time.Millisecond,
 		Transport:       ft,
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/bitset"
 	"repro/internal/digraph"
-	"repro/internal/grammar"
 	"repro/internal/lr0"
 )
 
@@ -50,7 +49,7 @@ func ComputeLazy(a *lr0.Automaton) *Result {
 		}
 	}
 	for q, s := range a.States {
-		if !inadequate(g, a.States[q]) {
+		if !a.Inadequate(s) {
 			continue
 		}
 		for ord, pi := range s.Reductions {
@@ -105,7 +104,7 @@ func ComputeLazy(a *lr0.Automaton) *Result {
 	for q, s := range a.States {
 		base := r.redBase[q]
 		r.LA[q] = laSets[base : base+len(s.Reductions) : base+len(s.Reductions)]
-		inad := inadequate(g, s)
+		inad := a.Inadequate(s)
 		for i := range s.Reductions {
 			if !inad {
 				// Default reduction: fire on any look-ahead.
@@ -119,27 +118,4 @@ func ComputeLazy(a *lr0.Automaton) *Result {
 		}
 	}
 	return r
-}
-
-// inadequate reports whether the LR(0) state needs look-ahead: it has a
-// real reduction and either a terminal shift or a second reduction.
-func inadequate(g *grammar.Grammar, s *lr0.State) bool {
-	reds := 0
-	for _, pi := range s.Reductions {
-		if pi != 0 {
-			reds++
-		}
-	}
-	if reds == 0 {
-		return false
-	}
-	if reds > 1 {
-		return true
-	}
-	for _, tr := range s.Transitions {
-		if g.IsTerminal(tr.Sym) {
-			return true
-		}
-	}
-	return false
 }

@@ -30,7 +30,7 @@ y : ;
 		full := Compute(a)
 		lazy := ComputeLazy(a)
 		for q, s := range a.States {
-			inad := inadequate(g, s)
+			inad := a.Inadequate(s)
 			for i, pi := range s.Reductions {
 				if pi == 0 {
 					continue
@@ -66,7 +66,7 @@ func TestLazyRandomGrammars(t *testing.T) {
 		full := Compute(a)
 		lazy := ComputeLazy(a)
 		for q, s := range a.States {
-			if !inadequate(g, s) {
+			if !a.Inadequate(s) {
 				continue
 			}
 			for i, pi := range s.Reductions {

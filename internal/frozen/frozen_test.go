@@ -186,7 +186,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if _, err := s.Load(td.Fingerprint); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("cold Load: %v, want ErrNotFound", err)
 	}
-	if err := s.Save(td); err != nil {
+	if err := s.PutBytes(td.Fingerprint, Freeze(td)); err != nil {
 		t.Fatal(err)
 	}
 	ft, err := s.Load(td.Fingerprint)

@@ -44,34 +44,6 @@ func (s *Store) path(fingerprint string) (string, error) {
 	return filepath.Join(s.dir, fingerprint+".frz"), nil
 }
 
-// Save atomically writes a frozen table under td.Fingerprint: encode,
-// write to a temp file in the same directory, fsync-free rename.  A
-// concurrent Save of the same fingerprint is harmless — both writers
-// produce identical bytes (the fingerprint is a content address) and
-// rename is atomic.
-func (s *Store) Save(td *TableData) error {
-	p, err := s.path(td.Fingerprint)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(s.dir, ".frz-*")
-	if err != nil {
-		return fmt.Errorf("frozen: save: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(Freeze(td)); err != nil {
-		tmp.Close()
-		return fmt.Errorf("frozen: save: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("frozen: save: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		return fmt.Errorf("frozen: save: %w", err)
-	}
-	return nil
-}
-
 // Load reads and decodes the frozen table for a fingerprint: one file
 // read, one header parse, zero per-element work.  It returns
 // ErrNotFound when the store has no entry, a *DecodeError (matching
@@ -162,11 +134,14 @@ func ReadRecord(r io.Reader, size int64) ([]byte, error) {
 	return b, nil
 }
 
-// PutBytes stores already-frozen bytes under a fingerprint — the
-// fill-from-peer path.  The bytes are fully validated first (decode,
-// CRC, recorded fingerprint must equal the claimed one), so a corrupt
-// or lying peer can never plant a table; then the write is the same
-// atomic temp+rename as Save.
+// PutBytes stores already-frozen bytes under a fingerprint, whether
+// they were frozen here or filled from a peer.  The bytes are fully
+// validated first (decode, CRC, recorded fingerprint must equal the
+// claimed one), so a corrupt or lying peer can never plant a table;
+// then the write is atomic: a temp file in the same directory, renamed
+// into place without fsync.  A concurrent PutBytes of the same
+// fingerprint is harmless — the fingerprint is a content address, so
+// both writers hold identical bytes, and rename is atomic.
 func (s *Store) PutBytes(fingerprint string, raw []byte) error {
 	p, err := s.path(fingerprint)
 	if err != nil {

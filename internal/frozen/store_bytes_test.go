@@ -25,7 +25,7 @@ func TestAppendBytesAndPutBytesRoundTrip(t *testing.T) {
 	if _, err := a.AppendBytes(nil, td.Fingerprint); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("cold AppendBytes: %v, want ErrNotFound", err)
 	}
-	if err := a.Save(td); err != nil {
+	if err := a.PutBytes(td.Fingerprint, Freeze(td)); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := a.AppendBytes(nil, td.Fingerprint)
@@ -114,7 +114,7 @@ func TestQuarantineBitFlipSweep(t *testing.T) {
 			t.Fatalf("flip at %d: quarantined table still loads: %v", off, err)
 		}
 		// Recompute path: a fresh Save must restore service.
-		if err := s.Save(td); err != nil {
+		if err := s.PutBytes(td.Fingerprint, Freeze(td)); err != nil {
 			t.Fatalf("flip at %d: re-freeze after quarantine: %v", off, err)
 		}
 		if _, err := s.Load(td.Fingerprint); err != nil {
@@ -152,7 +152,7 @@ func TestAppendBytesAppendsAfterDst(t *testing.T) {
 		t.Fatal(err)
 	}
 	td, _ := goldenData(t)
-	if err := s.Save(td); err != nil {
+	if err := s.PutBytes(td.Fingerprint, Freeze(td)); err != nil {
 		t.Fatal(err)
 	}
 	prefix := []byte("prefix")

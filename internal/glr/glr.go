@@ -18,6 +18,7 @@ package glr
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/bitset"
 	"repro/internal/grammar"
@@ -47,9 +48,37 @@ func New(a *lr0.Automaton, sets [][]bitset.Set) *Parser {
 	return &Parser{a: a, sets: sets}
 }
 
+// node is one stack cell.  Stacks are immutable linked lists shared
+// between forks; hist is the stack's reduction history, kept only when
+// derivations are materialised.
 type node struct {
 	state  int32
 	parent *node
+	hist   *histNode
+}
+
+// histNode is one applied reduction in a stack's history, shared
+// structurally between forked stacks like the state chain itself.
+type histNode struct {
+	prod int32
+	prev *histNode
+}
+
+// Derivation is one accepted parse of an input: the production indices
+// of the reductions in the order the parser applied them (the reverse
+// of the rightmost derivation).
+type Derivation struct {
+	Prods []int
+}
+
+// String renders the derivation as the applied productions joined with
+// " ; ".
+func (d Derivation) String(g *grammar.Grammar) string {
+	parts := make([]string, len(d.Prods))
+	for i, pi := range d.Prods {
+		parts[i] = g.ProdString(pi)
+	}
+	return strings.Join(parts, " ; ")
 }
 
 // Recognize parses the terminal sequence (without $end) and returns
@@ -57,6 +86,24 @@ type node struct {
 // is not in the language.  It fails when the stack or step limits are
 // exceeded (infinitely ambiguous or pathologically ambiguous input).
 func (p *Parser) Recognize(input []grammar.Sym) (derivations int, err error) {
+	n, _, err := p.Walk(input, 0)
+	return n, err
+}
+
+// Derivations parses the terminal sequence (without $end) and returns
+// up to max distinct derivations of it, in the deterministic order the
+// forked walk discovers them.
+func (p *Parser) Derivations(input []grammar.Sym, max int) ([]Derivation, error) {
+	_, ds, err := p.Walk(input, max)
+	return ds, err
+}
+
+// Walk is the forked walk behind Recognize and Derivations.  It parses
+// the terminal sequence (without $end), counts the accepting stacks —
+// the distinct derivations, 0 if the input is not in the language —
+// and materialises the first max of them in discovery order.  The
+// stack and step limits and the Budget govern it.
+func (p *Parser) Walk(input []grammar.Sym, max int) (n int, ds []Derivation, err error) {
 	maxStacks := p.MaxStacks
 	if maxStacks == 0 {
 		maxStacks = 4096
@@ -72,13 +119,6 @@ func (p *Parser) Recognize(input []grammar.Sym) (derivations int, err error) {
 	toks = append(toks, input...)
 	toks = append(toks, grammar.EOF)
 
-	acceptState := -1
-	for _, s := range a.States {
-		if len(s.Kernel) == 1 && s.Kernel[0] == (lr0.Item{Prod: 0, Dot: 2}) {
-			acceptState = s.Index
-		}
-	}
-
 	frontier := []*node{{state: 0}}
 	for _, tok := range toks {
 		// Reduce closure: apply every reduction whose look-ahead
@@ -86,53 +126,75 @@ func (p *Parser) Recognize(input []grammar.Sym) (derivations int, err error) {
 		steps := 0
 		for i := 0; i < len(frontier); i++ {
 			if err := p.Budget.Check(); err != nil {
-				return 0, err
+				return 0, nil, err
 			}
-			n := frontier[i]
-			s := a.States[n.state]
+			top := frontier[i]
+			s := a.States[top.state]
 			for ord, pi := range s.Reductions {
-				if pi == 0 || !p.sets[n.state][ord].Has(int(tok)) {
+				if pi == 0 || !p.sets[top.state][ord].Has(int(tok)) {
 					continue
 				}
 				if steps++; steps > maxSteps {
-					return 0, fmt.Errorf("glr: step limit exceeded at token %s (cyclic grammar?)", g.SymName(tok))
+					return 0, nil, fmt.Errorf("glr: step limit exceeded at token %s (cyclic grammar?)", g.SymName(tok))
 				}
 				prod := g.Prod(pi)
-				top := n
+				below := top
 				for k := 0; k < len(prod.Rhs); k++ {
-					top = top.parent
+					below = below.parent
 				}
-				to := a.States[top.state].Goto(prod.Lhs)
+				to := a.States[below.state].Goto(prod.Lhs)
 				if to < 0 {
 					continue
 				}
-				frontier = append(frontier, &node{state: int32(to), parent: top})
+				hist := top.hist
+				if max > 0 {
+					hist = &histNode{prod: int32(pi), prev: hist}
+				}
+				frontier = append(frontier, &node{state: int32(to), parent: below, hist: hist})
 				if len(frontier) > maxStacks {
-					return 0, fmt.Errorf("glr: stack limit exceeded at token %s", g.SymName(tok))
+					return 0, nil, fmt.Errorf("glr: stack limit exceeded at token %s", g.SymName(tok))
 				}
 			}
 		}
 		if tok == grammar.EOF {
-			for _, n := range frontier {
+			for _, top := range frontier {
 				// Accept when the automaton can shift $end into the
-				// accept configuration.
-				if to := a.States[n.state].Goto(grammar.EOF); to == acceptState {
-					derivations++
+				// accept state.
+				if a.States[top.state].Goto(grammar.EOF) != a.Accept {
+					continue
+				}
+				if n++; n <= max {
+					ds = append(ds, Derivation{Prods: materialize(top.hist)})
 				}
 			}
-			return derivations, nil
+			return n, ds, nil
 		}
 		// Shift phase.
 		var next []*node
-		for _, n := range frontier {
-			if to := a.States[n.state].Goto(tok); to >= 0 {
-				next = append(next, &node{state: int32(to), parent: n})
+		for _, top := range frontier {
+			if to := a.States[top.state].Goto(tok); to >= 0 {
+				next = append(next, &node{state: int32(to), parent: top, hist: top.hist})
 			}
 		}
 		if len(next) == 0 {
-			return 0, nil
+			return 0, nil, nil
 		}
 		frontier = next
 	}
-	return derivations, nil
+	return n, ds, nil
+}
+
+// materialize flattens a reduction-history chain into application
+// order.
+func materialize(h *histNode) []int {
+	n := 0
+	for c := h; c != nil; c = c.prev {
+		n++
+	}
+	out := make([]int, n)
+	for c := h; c != nil; c = c.prev {
+		n--
+		out[n] = int(c.prod)
+	}
+	return out
 }

@@ -67,6 +67,48 @@ e : e '+' e | id ;
 	}
 }
 
+// Walk counts every accepting stack but materialises only the first
+// max, each a distinct derivation ending in the start production.
+func TestWalkCountsAllMaterialisesMax(t *testing.T) {
+	a, p := build(t, `
+%token id
+%%
+e : e '+' e | id ;
+`)
+	g := a.G
+	in := syms(g, "id", "+", "id", "+", "id", "+", "id", "+", "id")
+	for _, max := range []int{0, 1, 3, 14, 20} {
+		n, ds, err := p.Walk(in, max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 14 || len(ds) != min(max, 14) {
+			t.Errorf("Walk(max %d) = %d, %d derivations; want 14, %d", max, n, len(ds), min(max, 14))
+		}
+		seen := map[string]bool{}
+		for _, d := range ds {
+			key := d.String(g)
+			if seen[key] {
+				t.Errorf("max %d: derivation %q twice", max, key)
+			}
+			seen[key] = true
+			if last := d.Prods[len(d.Prods)-1]; g.Prod(last).Lhs != g.Start() {
+				t.Errorf("max %d: derivation ends with %s", max, g.ProdString(last))
+			}
+		}
+	}
+	ds, err := p.Derivations(in, 3)
+	if err != nil || len(ds) != 3 {
+		t.Fatalf("Derivations(3) = %d, %v", len(ds), err)
+	}
+	_, want, _ := p.Walk(in, 3)
+	for i := range ds {
+		if ds[i].String(g) != want[i].String(g) {
+			t.Errorf("Derivations[%d] = %s, Walk's = %s", i, ds[i].String(g), want[i].String(g))
+		}
+	}
+}
+
 func TestDanglingElseHasTwoDerivations(t *testing.T) {
 	a, p := build(t, `
 %token IF THEN ELSE other cond

@@ -68,9 +68,6 @@ type Limits struct {
 	// MaxRelationEdges bounds relation edges built/traversed (reads,
 	// includes, lookback, propagation).
 	MaxRelationEdges int
-	// Deadline, when nonzero, aborts the analysis once the wall clock
-	// passes it.  A context deadline, if earlier, wins.
-	Deadline time.Time
 	// CheckEvery is the checkpoint amortization interval: the context,
 	// clock and fault hook are consulted once per CheckEvery Check
 	// calls.  Zero means DefaultCheckEvery.
@@ -216,10 +213,7 @@ func New(ctx context.Context, limits Limits, rec *obs.Recorder) *Budget {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	deadline := limits.Deadline
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
+	deadline, _ := ctx.Deadline()
 	every := limits.CheckEvery
 	if every <= 0 {
 		every = DefaultCheckEvery

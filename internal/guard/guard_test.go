@@ -69,7 +69,9 @@ func TestCheckCancellation(t *testing.T) {
 }
 
 func TestCheckDeadline(t *testing.T) {
-	b := New(context.Background(), Limits{Deadline: time.Now().Add(-time.Second)}, nil)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	b := New(ctx, Limits{}, nil)
 	b.Phase("solve-reads")
 	err := b.Check()
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {

@@ -207,7 +207,6 @@ func buildTables(a *lr0.Automaton, sets [][]bitset.Set, bud *guard.Budget) (*Tab
 	}
 	numT, numN := g.NumTerminals(), g.NumNonterminals()
 
-	acceptTarget := acceptState(a)
 	entries := 0 // ACTION + GOTO entries installed, for ResTableEntries
 	for q, s := range a.States {
 		if err := bud.Check(); err != nil {
@@ -224,7 +223,7 @@ func buildTables(a *lr0.Automaton, sets [][]bitset.Set, bud *guard.Budget) (*Tab
 		entries += len(s.Transitions)
 		for _, tr := range s.Transitions {
 			if g.IsTerminal(tr.Sym) {
-				if tr.Sym == grammar.EOF && int(tr.To) == acceptTarget {
+				if tr.Sym == grammar.EOF && int(tr.To) == a.Accept {
 					row[tr.Sym] = MakeAccept()
 					t.AcceptState = q
 				} else {
@@ -248,16 +247,6 @@ func buildTables(a *lr0.Automaton, sets [][]bitset.Set, bud *guard.Budget) (*Tab
 		t.Goto[q] = grow
 	}
 	return t, nil
-}
-
-// acceptState finds the state whose kernel is {$accept → start $end .}.
-func acceptState(a *lr0.Automaton) int {
-	for _, s := range a.States {
-		if len(s.Kernel) == 1 && s.Kernel[0] == (lr0.Item{Prod: 0, Dot: 2}) {
-			return s.Index
-		}
-	}
-	return -1
 }
 
 // place installs "reduce by prod on term" into the row, resolving any

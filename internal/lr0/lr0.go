@@ -87,6 +87,9 @@ type Automaton struct {
 	States []*State
 	// NtTrans lists all nonterminal transitions; NtTransIdx inverts it.
 	NtTrans []NtTransition
+	// Accept is the accept state, the one whose kernel is
+	// {$accept → start $end .}: shifting $end into it accepts.
+	Accept int
 
 	// Nonterminal transitions are numbered in (state, symbol) order, so
 	// each state's block is contiguous: state q owns global indices
@@ -128,6 +131,7 @@ func NewBudgeted(g *grammar.Grammar, an *grammar.Analysis, rec *obs.Recorder, bu
 	if err != nil {
 		return nil, err
 	}
+	a.Accept = a.WalkString(0, g.Prod(0).Rhs)
 	sp = rec.Start("lr0-nt-numbering")
 	a.numberNtTransitions()
 	sp.End()
@@ -363,6 +367,26 @@ func (a *Automaton) NtTransIdx(state int, A grammar.Sym) int {
 		return int(lo) + i
 	}
 	return -1
+}
+
+// Inadequate reports whether state s needs look-ahead to act: it has a
+// real reduction and either a terminal shift or a second reduction.
+func (a *Automaton) Inadequate(s *State) bool {
+	reds := 0
+	for _, pi := range s.Reductions {
+		if pi != 0 {
+			reds++
+		}
+	}
+	if reds != 1 {
+		return reds > 1
+	}
+	for _, tr := range s.Transitions {
+		if a.G.IsTerminal(tr.Sym) {
+			return true
+		}
+	}
+	return false
 }
 
 // WalkString follows transitions from state over the symbols of seq and

@@ -240,7 +240,7 @@ func TestConflictMonotonicity(t *testing.T) {
 
 		lalrConf := countConflicts(a, dp.LA)
 		slrConf := countConflicts(a, slrSets)
-		csr, crr := m.ConflictCounts()
+		csr, crr := m.ResolvedConflictCounts(nil)
 		canonConf := csr + crr
 		// Counts are monotone on the same LR(0) machine (LA ⊆ FOLLOW).
 		if lalrConf > slrConf {
@@ -263,7 +263,7 @@ func TestConflictMonotonicity(t *testing.T) {
 
 // countConflicts counts (state, terminal) shift/reduce pairs plus
 // pairwise reduce/reduce lookahead overlaps — same metric as
-// Machine.ConflictCounts, on the LR(0) machine with the given sets.
+// Machine.ResolvedConflictCounts(nil), on the LR(0) machine with the given sets.
 func countConflicts(a *lr0.Automaton, sets [][]bitset.Set) int {
 	n := 0
 	for q, s := range a.States {

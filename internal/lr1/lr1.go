@@ -315,23 +315,14 @@ func (m *Machine) MergeLALR(a *lr0.Automaton) [][]bitset.Set {
 	return sets
 }
 
-// ConflictCounts reports the number of canonical-machine conflicts:
-// shift/reduce and reduce/reduce entries before any precedence
-// resolution.  These are the raw CLR(1) rows of the adequacy table.
-func (m *Machine) ConflictCounts() (sr, rr int) {
-	return m.conflictCounts(nil)
-}
-
 // ResolvedConflictCounts reports canonical-machine conflicts remaining
 // after yacc precedence resolution, making the counts comparable with
-// lalrtable.Tables.Unresolved on the other methods.  resolve is the
-// shift/reduce arbiter (pass lalrtable.ResolveShiftReduce); it returns
-// whether the conflict counts as unresolved.
-func (m *Machine) ResolvedConflictCounts(resolve func(g *grammar.Grammar, term grammar.Sym, prod int) bool) (sr, rr int) {
-	return m.conflictCounts(resolve)
-}
-
-func (m *Machine) conflictCounts(unresolved func(g *grammar.Grammar, term grammar.Sym, prod int) bool) (sr, rr int) {
+// lalrtable.Tables.Unresolved on the other methods.  unresolved is the
+// shift/reduce arbiter (built on lalrtable.ResolveShiftReduce); it
+// reports whether the conflict counts as unresolved.  A nil arbiter
+// counts every shift/reduce and reduce/reduce entry, before any
+// precedence resolution.
+func (m *Machine) ResolvedConflictCounts(unresolved func(g *grammar.Grammar, term grammar.Sym, prod int) bool) (sr, rr int) {
 	for _, s := range m.States {
 		for i, red := range s.Reductions {
 			if red.Prod == 0 {

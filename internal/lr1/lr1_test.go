@@ -43,7 +43,7 @@ func TestCanonicalSeparatesNonLALRStates(t *testing.T) {
 	g := grammar.MustParse("t.y", notLALRSrc)
 	m := New(g, nil)
 	// Canonical machine: no state has overlapping reduce lookaheads.
-	sr, rr := m.ConflictCounts()
+	sr, rr := m.ResolvedConflictCounts(nil)
 	if sr != 0 || rr != 0 {
 		t.Errorf("canonical conflicts sr=%d rr=%d, want 0/0 (grammar is LR(1))", sr, rr)
 	}

@@ -110,7 +110,7 @@ func TestTablesCarryingRecordServesFrozen(t *testing.T) {
 		GotoBase: p.GotoBase, GotoNext: p.GotoNext, GotoCheck: p.GotoCheck,
 		Body: want,
 	}
-	if err := st.Save(td); err != nil {
+	if err := st.PutBytes(td.Fingerprint, frozen.Freeze(td)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"net/http"
 
@@ -212,9 +213,11 @@ type BatchResult struct {
 	Fingerprint string `json:"fingerprint"`
 	// CacheHit reports whether this entry was served without running
 	// the pipeline.
-	CacheHit bool           `json:"cache_hit"`
-	Report   *export.Report `json:"report,omitempty"`
-	Error    *ErrorPayload  `json:"error,omitempty"`
+	CacheHit bool `json:"cache_hit"`
+	// Report is the "report" value of the grammar's /v1/analyze body,
+	// taken as bytes; encoding the response compacts and re-indents it.
+	Report json.RawMessage `json:"report,omitempty"`
+	Error  *ErrorPayload   `json:"error,omitempty"`
 }
 
 // BatchResponse is the POST /v1/batch body.  The HTTP status is 200

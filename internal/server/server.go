@@ -848,7 +848,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				results[i] = res
 				return err
 			}
-			var env AnalyzeResponse
+			var env struct{ Report json.RawMessage }
 			if err := json.Unmarshal(body, &env); err != nil {
 				return err
 			}
