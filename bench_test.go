@@ -293,7 +293,10 @@ func ambigWalks(a *lr0.Automaton, sets [][]bitset.Set, open []lalrtable.Conflict
 
 // BenchmarkAmbigWalk measures the ambiguity walks of the grammars whose
 // walks dominate /v1/lint: lua (a GL040 witness and a context-bound
-// GL042), csub and pascal (context-bound GL042s).
+// GL042), csub and pascal (context-bound GL042s).  Like lint it builds
+// one Walker per conflict.  Past the first iteration each walk takes a
+// warm working set from the walk scratch pool, as walks do on a busy
+// server; the visited set is grown afresh every walk.
 func BenchmarkAmbigWalk(b *testing.B) {
 	for _, name := range []string{"lua", "csub", "pascal"} {
 		b.Run(name, func(b *testing.B) {

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	lalrbench            # all experiments
-//	lalrbench -run III   # only the experiment whose id contains "III"
+//	lalrbench -run III   # only Table III (-run takes an id or a table's numeral)
 //	lalrbench -quick     # smaller scaling sweeps (for CI)
 //	lalrbench file.y...  # Tables I, II and IV for these grammar files
 //
@@ -50,7 +50,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"repro/internal/bitset"
@@ -101,7 +100,7 @@ var experiments = []experiment{
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("lalrbench", flag.ContinueOnError)
 	var (
-		runFilter  = fs.String("run", "", "run only experiments whose id contains this substring")
+		runFilter  = fs.String("run", "", "run only the experiment with this id, or the table with this numeral (IV for Table-IV)")
 		quick      = fs.Bool("quick", false, "smaller scaling sweeps")
 		metricsOut = fs.String("metrics-out", "", "write per-grammar metrics JSON to this file ('-' for stdout) instead of the text tables")
 		parallel   = fs.Int("parallel", 1, "metrics-collection workers (0 = one per CPU); >1 perturbs the timing fields")
@@ -161,7 +160,7 @@ func run(args []string, out io.Writer) (err error) {
 	var selected []experiment
 	needStats := false
 	for _, e := range experiments {
-		if !strings.Contains(e.id, *runFilter) || (fs.NArg() > 0 && e.stats == nil) {
+		if !selects(*runFilter, e.id) || (fs.NArg() > 0 && e.stats == nil) {
 			continue
 		}
 		selected = append(selected, e)
@@ -190,6 +189,12 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 	return nil
+}
+
+// selects reports whether -run filter picks the experiment id: the id
+// itself or, for a table, its numeral.  The empty filter picks all.
+func selects(filter, id string) bool {
+	return filter == "" || filter == id || "Table-"+filter == id
 }
 
 // machines is one grammar's governed pass: its LR(0) automaton, the

@@ -98,6 +98,24 @@ func TestCorpusTables(t *testing.T) {
 	}
 }
 
+// -run picks one experiment, by its id or by a table's numeral, never
+// the experiments whose ids merely contain it.
+func TestRunSelectsOneExperiment(t *testing.T) {
+	for _, filter := range []string{"Table-I", "II"} {
+		var b strings.Builder
+		if err := run([]string{"-run", filter}, &b); err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(b.String(), "== "); n != 1 {
+			t.Errorf("-run %s printed %d experiments:\n%s", filter, n, b.String())
+		}
+	}
+	var b strings.Builder
+	if err := run([]string{"-run", "Table-"}, &b); err == nil {
+		t.Errorf("-run Table- matched an experiment:\n%s", b.String())
+	}
+}
+
 // Grammar files select Tables I, II and IV over those files.
 func TestFileMode(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "tiny.y")

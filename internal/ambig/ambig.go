@@ -179,12 +179,10 @@ type Walker struct {
 	gotoTab []int32
 	numSyms int
 
-	// Per-walk scratch, reused across walks: the stack arena, the
-	// extension trie, succ's work list and two successor buffers.
-	nodes      []node
-	trie       []extTok
-	work       []int32
-	bufA, bufB []int32
+	// The running walk's working set, taken from walkScratch when
+	// Walk starts and given back when it ends (nil between walks), so
+	// it is reused across walks and across Walkers.
+	*scratch
 }
 
 // predEdge is one reversed automaton transition.

@@ -146,6 +146,13 @@ func TestVerdictGolden(t *testing.T) {
 		}
 		return
 	}
+	checkGolden(t, got, short)
+}
+
+// checkGolden fails t at the first line where got departs from the
+// golden (its corpus lines only, when short).
+func checkGolden(t *testing.T, got string, short bool) {
+	t.Helper()
 	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("missing golden (run with -update): %v", err)
@@ -164,6 +171,48 @@ func TestVerdictGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("verdict count differs from golden: got %d lines, want %d", len(gl), len(wl))
+}
+
+// TestScratchReuse runs the golden walks on the scratch that lua's
+// largest walk leaves in the pool, and that walk on the scratch the
+// golden walks leave: no arena node, trie node or queued pair of one
+// walk may reach the verdict of the next.
+func TestScratchReuse(t *testing.T) {
+	short := testing.Short() || raceEnabled
+	w, open := build(t, "lua", Config{})
+	var s17 lalrtable.Conflict
+	for _, c := range open {
+		if c.State == 17 {
+			s17 = c
+		}
+	}
+	want := "lua default s17 '(' ambiguous ctx=32 pairs=3781 "
+	walkLua := func() {
+		t.Helper()
+		line := goldenLine(w.g, "lua", "default", w.Walk(s17))
+		if !strings.HasPrefix(line, want) {
+			t.Fatalf("lua s17 walk: %s, want %s...", line, want)
+		}
+	}
+	walkLua()
+	checkGolden(t, goldenReport(t, short), short)
+	walkLua()
+}
+
+// TestQueueHoldsPoppablePairs: only the first MaxPairs queued pairs
+// can be popped, so the queue stores no more and makes no trie node
+// for the rest.  lua s17 queues 33,380 pairs before its witness.
+func TestQueueHoldsPoppablePairs(t *testing.T) {
+	w, open := build(t, "lua", Config{})
+	for _, c := range open {
+		w.scratch = new(scratch)
+		w.reset()
+		v := w.walk(c)
+		if len(w.queue) > w.bounds.MaxPairs || len(w.trie) > len(w.queue) {
+			t.Errorf("s%d (%s, %d pairs, frontier %d): queue %d, trie %d, want at most %d pairs and one trie node each",
+				c.State, v.Stats.Reason, v.Stats.Pairs, v.Stats.Frontier, len(w.queue), len(w.trie), w.bounds.MaxPairs)
+		}
+	}
 }
 
 // shortGolden keeps the golden lines of unmutated corpus grammars.

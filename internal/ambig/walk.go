@@ -20,6 +20,7 @@ import (
 	"errors"
 	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/grammar"
 	"repro/internal/guard"
@@ -38,10 +39,30 @@ type node struct {
 	next   int32 // next sibling in the parent's child list
 }
 
-// resetArena empties the stack arena down to the empty stack.
-func (w *Walker) resetArena() {
-	w.nodes = append(w.nodes[:0], node{})
-	w.trie = w.trie[:0]
+// scratch is one walk's working set: the stack arena, the extension
+// trie, the context enumeration's partial paths, succ's work list, two
+// successor buffers and the pair queue.  Walks take it from walkScratch
+// and give it back when they end, so a walk grows its slices only past
+// the largest an earlier walk left.
+type scratch struct {
+	nodes      []node
+	trie       []extTok
+	steps      []ctxStep
+	work       []int32
+	bufA, bufB []int32
+	queue      []pairCfg
+}
+
+// walkScratch holds the scratch of finished walks.  The visited set is
+// not pooled: its table is a large share of a walk's memory, and the
+// largest one would stay resident in the pool between walks.
+var walkScratch = sync.Pool{New: func() any { return new(scratch) }}
+
+// reset empties the scratch down to the empty stack.
+func (s *scratch) reset() {
+	s.nodes = append(s.nodes[:0], node{})
+	s.trie = s.trie[:0]
+	s.queue = s.queue[:0]
 }
 
 // push returns the node for stack parent with state on top, interning
@@ -206,7 +227,8 @@ func (w *Walker) contexts(state int) (out []seedCtx, complete bool) {
 	}
 	maxEdges := w.dist0[state] + w.bounds.MaxContextEdges
 	complete = true
-	work := []ctxStep{{state: int32(state), prev: -1}}
+	work := append(w.steps[:0], ctxStep{state: int32(state), prev: -1})
+	defer func() { w.steps = work }()
 	popped := 0
 	for i := 0; i < len(work) && len(out) < w.bounds.MaxContexts; i++ {
 		p := work[i]
@@ -339,10 +361,13 @@ func (w *Walker) Walk(c lalrtable.Conflict) Verdict {
 	w.rec.Add(obs.CAmbigWalks, 1)
 	sp := w.rec.Start("ambig.walk")
 	defer sp.End()
-	w.resetArena()
+	w.scratch = walkScratch.Get().(*scratch)
+	w.reset()
 	v := w.walk(c)
 	w.rec.Add(obs.CAmbigPairs, int64(v.Stats.Pairs))
 	w.rec.Add(obs.CAmbigStackNodes, int64(len(w.nodes)-1))
+	walkScratch.Put(w.scratch)
+	w.scratch = nil
 	return v
 }
 
@@ -360,18 +385,25 @@ func (w *Walker) walk(c lalrtable.Conflict) Verdict {
 	truncated := false // a closure bound cut some enumeration
 	lengthCut := false // MaxLen stopped an extension
 
-	var queue []pairCfg
 	var visited pairSet
-	// fresh marks the unordered pair {a, b} visited, reporting whether
-	// it was new; enqueue queues it oriented by decimal key.
-	fresh := func(a, b int32) bool {
-		return visited.add(uint64(min(a, b))<<32 | uint64(max(a, b)))
+	queued := 0 // pairs queued, stored or not
+	// admit marks the unordered pair {a, b} visited and reports whether
+	// it is new and will be stored.  Only the first MaxPairs queued
+	// pairs can be popped: the pair budget ends the walk at the next
+	// pop.  Later new pairs are counted, for Stats.Frontier, but not
+	// stored.  enqueue stores a pair oriented by decimal key.
+	admit := func(a, b int32) bool {
+		if !visited.add(uint64(min(a, b))<<32 | uint64(max(a, b))) {
+			return false
+		}
+		queued++
+		return queued <= w.bounds.MaxPairs
 	}
 	enqueue := func(a, b, base, ext int32) {
 		if a != b && w.keyLess(b, a) {
 			a, b = b, a
 		}
-		queue = append(queue, pairCfg{a: a, b: b, base: base, ext: ext})
+		w.queue = append(w.queue, pairCfg{a: a, b: b, base: base, ext: ext})
 	}
 
 	// Seed: under each context (automaton path into the conflict
@@ -393,24 +425,24 @@ func (w *Walker) walk(c lalrtable.Conflict) Verdict {
 		bases[ci] = append(base, c.Terminal)
 		for i := 0; i < len(seeds); i++ {
 			for j := i + 1; j < len(seeds); j++ {
-				if fresh(seeds[i], seeds[j]) {
+				if admit(seeds[i], seeds[j]) {
 					enqueue(seeds[i], seeds[j], int32(ci), -1)
 				}
 			}
 		}
 	}
 
-	for qi := 0; qi < len(queue); qi++ {
+	for qi := 0; qi < queued; qi++ {
 		if err := w.bud.Check(); err != nil {
-			st.Frontier = len(queue) - qi
+			st.Frontier = queued - qi
 			return undecided(c, st, "canceled: "+err.Error())
 		}
 		if st.Pairs++; st.Pairs > w.bounds.MaxPairs {
 			st.Pairs--
-			st.Frontier = len(queue) - qi
+			st.Frontier = queued - qi
 			return undecided(c, st, "pair budget")
 		}
-		p := queue[qi]
+		p := w.queue[qi]
 		conv := p.a == p.b
 		extLen := int(w.extLen(p.ext))
 		if extLen > st.MaxLen {
@@ -432,7 +464,7 @@ func (w *Walker) walk(c lalrtable.Conflict) Verdict {
 			st.Candidates++
 			v, fatal := w.confirm(c, w.witness(bases[p.base], p.ext), &st)
 			if fatal != nil {
-				st.Frontier = len(queue) - qi - 1
+				st.Frontier = queued - qi - 1
 				return undecided(c, st, "canceled: "+fatal.Error())
 			}
 			if v != nil {
@@ -464,10 +496,10 @@ func (w *Walker) walk(c lalrtable.Conflict) Verdict {
 					continue
 				}
 			}
-			ext := int32(-1) // extended on the first fresh pair
+			ext := int32(-1) // extended on the first stored pair
 			for _, x := range nextA {
 				for _, y := range nextB {
-					if !fresh(x, y) {
+					if !admit(x, y) {
 						continue
 					}
 					if ext < 0 {
