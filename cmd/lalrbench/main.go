@@ -66,6 +66,7 @@ import (
 	"repro/internal/lr1"
 	"repro/internal/obs"
 	"repro/internal/packed"
+	"repro/internal/pipeline"
 	"repro/internal/prop"
 	"repro/internal/report"
 	"repro/internal/slr"
@@ -197,11 +198,10 @@ func selects(filter, id string) bool {
 	return filter == "" || filter == id || "Table-"+filter == id
 }
 
-// machines is one grammar's governed pass: its LR(0) automaton, the
-// DeRemer–Pennello result and the canonical LR(1) machine.
+// machines is one grammar's governed pass: the pipeline through its
+// LALR(1) tables and the canonical LR(1) machine.
 type machines struct {
-	a   *lr0.Automaton
-	dp  *core.Result
+	*pipeline.Result
 	lr1 *lr1.Machine
 }
 
@@ -222,20 +222,15 @@ func statsPass(gs []*grammar.Grammar, gf *cliguard.Flags, out io.Writer) ([]*mac
 			g := gs[i]
 			bud := guard.New(ctx, gf.Limits(), nil)
 			bud.SetOwner(g.Name())
-			an := grammar.Analyze(g)
-			a, err := lr0.NewBudgeted(g, an, nil, bud)
+			pr, err := pipeline.Build(g, pipeline.Tables, nil, bud)
 			if err != nil {
 				return err
 			}
-			dp, err := core.ComputeBudgeted(a, nil, bud)
+			m, err := lr1.NewBudgeted(g, pr.An, bud)
 			if err != nil {
 				return err
 			}
-			m, err := lr1.NewBudgeted(g, an, bud)
-			if err != nil {
-				return err
-			}
-			ms[i] = &machines{a: a, dp: dp, lr1: m}
+			ms[i] = &machines{Result: pr, lr1: m}
 			return nil
 		})
 	if err != nil {
@@ -289,10 +284,10 @@ func tableI(ms []*machines) string {
 	t := report.New("", "grammar", "terms", "nonterms", "prods",
 		"LR0 states", "LR1 states", "state ratio", "nt-transitions")
 	for _, m := range ms {
-		g := m.a.G
+		g := m.Auto.G
 		t.Row(g.Name(), g.NumTerminals(), g.NumNonterminals(), len(g.Productions()),
-			len(m.a.States), len(m.lr1.States), float64(len(m.lr1.States))/float64(len(m.a.States)),
-			len(m.a.NtTrans))
+			len(m.Auto.States), len(m.lr1.States), float64(len(m.lr1.States))/float64(len(m.Auto.States)),
+			len(m.Auto.NtTrans))
 	}
 	t.Note("LR(1) machines are consistently larger; the gap is what LALR avoids paying for")
 	return t.String()
@@ -302,8 +297,8 @@ func tableII(ms []*machines) string {
 	t := report.New("", "grammar", "nt-trans", "DR elems", "reads", "includes",
 		"lookback", "inc SCCs", "largest SCC", "inc cyclic")
 	for _, m := range ms {
-		st := m.dp.Stats()
-		t.Row(m.a.G.Name(), st.NtTransitions, st.DRTotal, st.ReadsEdges,
+		st := m.DP.Stats()
+		t.Row(m.Auto.G.Name(), st.NtTransitions, st.DRTotal, st.ReadsEdges,
 			st.IncludesEdges, st.LookbackEdges, st.IncludesSCCs, st.LargestIncSCC,
 			st.IncludesCyclic)
 	}
@@ -358,10 +353,9 @@ func tableIV(ms []*machines) string {
 		return lalrtable.ResolveShiftReduce(g, term, prod) == lalrtable.DefaultShift
 	}
 	for _, m := range ms {
-		a, g := m.a, m.a.G
-		lalrT := lalrtable.Build(a, m.dp.Sets())
+		a, g := m.Auto, m.Auto.G
 		slrT := lalrtable.Build(a, slr.Compute(a))
-		lsr, lrr := lalrT.Unresolved()
+		lsr, lrr := m.Tables.Unresolved()
 		ssr, srr := slrT.Unresolved()
 		csr, crr := m.lr1.ResolvedConflictCounts(unresolvedSR)
 		inad := 0
@@ -560,26 +554,13 @@ func collectMetrics(quick bool, workers int, gf *cliguard.Flags) (benchMetrics, 
 		rec := obs.New()
 		bud := guard.New(ctx, gf.Limits(), rec)
 		bud.SetOwner(g.Name())
-		sp := rec.Start("lr0-construction")
-		a, err := lr0.NewBudgeted(g, nil, rec, bud)
-		sp.End()
+		pr, err := pipeline.Build(g, pipeline.Tables, rec, bud)
 		if err != nil {
 			doc.Grammars[gi] = grammarMetrics{Grammar: g.Name(), Fingerprint: fp, Error: err.Error()}
 			return err
 		}
-		sp = rec.Start("lookahead-dp")
-		dp, err := core.ComputeBudgeted(a, rec, bud)
-		sp.End()
-		if err != nil {
-			doc.Grammars[gi] = grammarMetrics{Grammar: g.Name(), Fingerprint: fp, Error: err.Error()}
-			return err
-		}
-		tbl, err := lalrtable.BuildBudgeted(a, dp.Sets(), rec, bud)
-		if err != nil {
-			doc.Grammars[gi] = grammarMetrics{Grammar: g.Name(), Fingerprint: fp, Error: err.Error()}
-			return err
-		}
-		packed.PackObserved(tbl, rec)
+		a, dp := pr.Auto, pr.DP
+		packed.PackObserved(pr.Tables, rec)
 		export := rec.ExportData()
 
 		st := dp.Stats()

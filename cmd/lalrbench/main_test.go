@@ -7,14 +7,17 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/cache"
 	"repro/internal/cliguard"
 	"repro/internal/grammar"
 	"repro/internal/grammars"
 	"repro/internal/guard"
+	"repro/internal/obs"
 )
 
 // corpusMachines is the stats pass over the corpus, ungoverned.
@@ -355,5 +358,61 @@ func TestEmitMetricsWritesFile(t *testing.T) {
 	}
 	if doc.Schema != benchSchema {
 		t.Errorf("schema = %q", doc.Schema)
+	}
+}
+
+// The pipeline stages carry one span vocabulary: repro.Analyze's
+// analyze root, lint's lint-facts and the root of the -metrics-out
+// phase tree (where table-pack follows) record the same stage spans in
+// the same order.
+func TestOneSpanVocabulary(t *testing.T) {
+	stages := []string{"grammar-analysis", "lr0-construction", "lookahead-deremer-pennello", "table-build"}
+	doc, err := collectMetrics(true, 1, &cliguard.Flags{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func(spans []obs.SpanExport) []string {
+		var out []string
+		for _, sp := range spans {
+			out = append(out, sp.Name)
+		}
+		return out
+	}
+	under := func(spans []obs.SpanExport, path ...string) []string {
+		for _, name := range path {
+			var next []obs.SpanExport
+			for _, sp := range spans {
+				if sp.Name == name {
+					next = sp.Children
+				}
+			}
+			spans = next
+		}
+		return names(spans)
+	}
+	for _, name := range []string{"csub", "lua"} {
+		g := grammars.MustLoad(name)
+		rec := obs.New()
+		if _, err := repro.Analyze(g, repro.Options{Recorder: rec}); err != nil {
+			t.Fatal(err)
+		}
+		if got := under(rec.ExportData().Phases, "analyze"); !slices.Equal(got, stages) {
+			t.Errorf("%s: analyze stage spans %q, want %q", name, got, stages)
+		}
+		rec = obs.New()
+		if _, err := repro.Lint(g, repro.LintOptions{Recorder: rec}); err != nil {
+			t.Fatal(err)
+		}
+		if got := under(rec.ExportData().Phases, "lint", "lint-facts"); !slices.Equal(got, stages) {
+			t.Errorf("%s: lint-facts stage spans %q, want %q", name, got, stages)
+		}
+		for _, gm := range doc.Grammars {
+			if gm.Grammar != name {
+				continue
+			}
+			if got, want := names(gm.Phases), append(stages[:len(stages):len(stages)], "table-pack"); !slices.Equal(got, want) {
+				t.Errorf("%s: -metrics-out root spans %q, want %q", name, got, want)
+			}
+		}
 	}
 }

@@ -232,3 +232,22 @@ func TestLintGoverned(t *testing.T) {
 		t.Fatalf("err = %v, want match for repro.ErrLimit", err)
 	}
 }
+
+// Lint builds the pipeline only through the last stage its enabled
+// passes read, so a limit on a later stage cannot trip it: reads-cycles
+// needs no tables and useless no LR(0) automaton.
+func TestLintGovernedStopsAtNeededStage(t *testing.T) {
+	g := grammars.MustLoad("pascal")
+	oneEntry := repro.Limits{MaxTableEntries: 1}
+	if _, err := repro.Lint(g, repro.LintOptions{Enable: []string{"reads-cycles"}, Limits: oneEntry}); err != nil {
+		t.Errorf("reads-cycles under MaxTableEntries 1: %v", err)
+	}
+	_, err := repro.Lint(g, repro.LintOptions{Limits: oneEntry})
+	var le *repro.LimitError
+	if !errors.As(err, &le) || le.Phase != "table-build" {
+		t.Errorf("full lint under MaxTableEntries 1: err = %v, want a limit trip in table-build", err)
+	}
+	if _, err := repro.Lint(g, repro.LintOptions{Enable: []string{"useless"}, Limits: repro.Limits{MaxStates: 1}}); err != nil {
+		t.Errorf("useless under MaxStates 1: %v", err)
+	}
+}

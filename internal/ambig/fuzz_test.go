@@ -12,13 +12,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/grammar"
 	"repro/internal/grammars"
 	"repro/internal/guard"
 	"repro/internal/lalrtable"
-	"repro/internal/lr0"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 )
 
 func FuzzAmbig(f *testing.F) {
@@ -45,25 +44,16 @@ func FuzzAmbig(f *testing.F) {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(2*time.Second))
 		defer cancel()
 		bud := guard.New(ctx, limits, nil)
-		an := grammar.Analyze(g)
-		a, err := lr0.NewBudgeted(g, an, nil, bud)
+		pr, err := pipeline.Build(g, pipeline.Tables, nil, bud)
 		if err != nil {
 			return
 		}
-		dp, err := core.ComputeBudgeted(a, nil, bud)
-		if err != nil {
-			return
-		}
-		tables, err := lalrtable.BuildBudgeted(a, dp.Sets(), nil, bud)
-		if err != nil {
-			return
-		}
-		w := New(a, dp.Sets(), Config{
+		w := New(pr.Auto, pr.DP.Sets(), Config{
 			Bounds:   Bounds{MaxLen: 6, MaxPairs: 128, MaxSteps: 128, MaxContexts: 8},
 			Budget:   bud,
 			Recorder: obs.New(),
 		})
-		for _, c := range tables.Conflicts {
+		for _, c := range pr.Tables.Conflicts {
 			if c.Resolution != lalrtable.DefaultShift && c.Resolution != lalrtable.DefaultEarlyRule {
 				continue
 			}

@@ -22,11 +22,9 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/bitset"
 	"repro/internal/digraph"
-	"repro/internal/grammar"
 	"repro/internal/guard"
 	"repro/internal/lr0"
 	"repro/internal/obs"
@@ -77,12 +75,6 @@ type Result struct {
 // LR(k) for any k (the paper's theorem on cyclic reads).  Results from
 // ComputeNaive carry no SCC information and report false.
 func (r *Result) NotLRk() bool { return r.ReadsStats != nil && r.ReadsStats.Cyclic() }
-
-// Exact reports whether the computed LA sets are guaranteed to be the
-// exact LALR(1) sets.  This fails only when reads is cyclic — but then
-// the grammar is not LR(k) for any k, so reporting its (possibly
-// enlarged) conflict set remains sound.
-func (r *Result) Exact() bool { return r.ReadsStats != nil && !r.ReadsStats.Cyclic() }
 
 // Compute runs the DeRemer–Pennello algorithm on a, reusing its grammar
 // analysis.
@@ -444,18 +436,4 @@ func (r *Result) Stats() RelationStats {
 func (r *Result) TransString(i int) string {
 	nt := r.Auto.NtTrans[i]
 	return fmt.Sprintf("(%d, %s)", nt.From, r.Auto.G.SymName(nt.Sym))
-}
-
-// DumpLA renders every reduction's look-ahead set, for the generator's
-// report mode.
-func (r *Result) DumpLA() string {
-	var b strings.Builder
-	a := r.Auto
-	for q, s := range a.States {
-		for i, pi := range s.Reductions {
-			fmt.Fprintf(&b, "state %d: LA(%s) = %s\n", q,
-				a.G.ProdString(pi), grammar.TerminalSetNames(a.G, r.LA[q][i]))
-		}
-	}
-	return b.String()
 }

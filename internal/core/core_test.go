@@ -18,6 +18,26 @@ func compute(t *testing.T, src string) *Result {
 	return Compute(lr0.New(g, nil))
 }
 
+// Exact reports whether the computed LA sets are guaranteed to be the
+// exact LALR(1) sets.  This fails only when reads is cyclic — but then
+// the grammar is not LR(k) for any k, so reporting its (possibly
+// enlarged) conflict set remains sound.
+func (r *Result) Exact() bool { return r.ReadsStats != nil && !r.ReadsStats.Cyclic() }
+
+// DumpLA renders every reduction's look-ahead set, one line per
+// reduction.
+func (r *Result) DumpLA() string {
+	var b strings.Builder
+	a := r.Auto
+	for q, s := range a.States {
+		for i, pi := range s.Reductions {
+			fmt.Fprintf(&b, "state %d: LA(%s) = %s\n", q,
+				a.G.ProdString(pi), grammar.TerminalSetNames(a.G, r.LA[q][i]))
+		}
+	}
+	return b.String()
+}
+
 // The canonical LALR-but-not-SLR grammar (Aho–Sethi–Ullman ex. 4.48):
 //
 //	S → L = R | R ;  L → * R | id ;  R → L

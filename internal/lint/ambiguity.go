@@ -20,12 +20,13 @@ import (
 	"repro/internal/grammar"
 	"repro/internal/lalrtable"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 )
 
 var ambiguityAnalyzer = &Analyzer{
 	Name:  "ambiguity",
 	Doc:   "walk SR-automata from conflict states to proven ambiguity verdicts",
-	Needs: FactTables | FactDP,
+	Needs: pipeline.Tables,
 	Codes: []Code{CodeAmbiguous, CodeNotAmbiguous, CodeAmbigUndecided},
 	Run:   runAmbiguity,
 }

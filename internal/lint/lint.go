@@ -1,10 +1,11 @@
 // Package lint is a pass-based static-analysis framework over a
 // grammar, its LR(0) automaton and the DeRemer–Pennello relations,
-// modeled on go/analysis: each Analyzer declares a name, the shared
-// facts it needs and the diagnostic codes it can emit; the driver
-// computes the facts once per grammar, runs the enabled analyzers in
-// dependency order and collects Diagnostics with stable codes and
-// symbol/state/production loci.
+// modeled on go/analysis: each Analyzer declares a name, the facts it
+// needs (a pipeline stage: none < analysis < LR(0) < DP < tables) and
+// the diagnostic codes it can emit; the driver builds the pipeline once
+// per grammar, only through the last stage an enabled analyzer needs,
+// runs the enabled analyzers in order and collects Diagnostics with
+// stable codes and symbol/state/production loci.
 //
 // The paper's relations double as the diagnosis engine: a nontrivial
 // reads cycle proves the grammar is not LR(k) for any k (GL020), and
@@ -20,12 +21,11 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/grammar"
 	"repro/internal/guard"
 	"repro/internal/lalrtable"
-	"repro/internal/lr0"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 )
 
 // Severity orders diagnostics by weight.  Info diagnostics are
@@ -201,32 +201,13 @@ func (d Diagnostic) WithWitness(sentence string) Diagnostic {
 	return d
 }
 
-// Facts is the bitmask of shared computations an Analyzer needs.  The
-// driver computes the union of all enabled analyzers' needs exactly
-// once per grammar, in dependency order (analysis → usefulness → LR(0)
-// → DeRemer–Pennello relations → tables).
-type Facts uint8
-
-// Fact bits.  Higher-level facts imply their prerequisites: requesting
-// FactTables also computes FactDP, FactLR0 and FactAnalysis.
-const (
-	FactAnalysis Facts = 1 << iota // nullability + FIRST sets
-	FactUsefulness
-	FactLR0
-	FactDP // DeRemer–Pennello relations and look-ahead sets
-	FactTables
-)
-
 // Pass is the per-run context handed to an Analyzer: the grammar plus
-// every fact the analyzer declared in Needs (undeclared facts are nil).
+// the pipeline stages built for the run, which include every stage the
+// analyzer declared in Needs (later stages may be nil).
 type Pass struct {
 	Analyzer *Analyzer
 	G        *grammar.Grammar
-	An       *grammar.Analysis   // FactAnalysis
-	Useful   *grammar.Usefulness // FactUsefulness
-	Auto     *lr0.Automaton      // FactLR0
-	DP       *core.Result        // FactDP
-	Tables   *lalrtable.Tables   // FactTables
+	*pipeline.Result
 	// BudgetSR / BudgetRR are the resolved expected-conflict counts
 	// (Options.Budget, else the grammar's %expect declarations); -1
 	// means no budget was declared.
@@ -259,8 +240,9 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description.
 	Doc string
-	// Needs declares the shared facts the pass reads.
-	Needs Facts
+	// Needs is the last pipeline stage the pass reads (pipeline.None
+	// for passes that read only the grammar).
+	Needs pipeline.Stage
 	// Codes lists the diagnostic codes the pass can emit.
 	Codes []Code
 	// Run inspects the pass context and reports diagnostics.  Run must
@@ -323,8 +305,9 @@ type Options struct {
 	// File is the source filename used in report output (SARIF artifact
 	// URI, text prefixes); defaults to the grammar name + ".y".
 	File string
-	// Recorder, when non-nil, receives a span per computed fact and per
-	// executed pass, plus lint_passes/lint_diagnostics counters.
+	// Recorder, when non-nil, receives the pipeline's stage spans under
+	// lint-facts and a span per executed pass, plus
+	// lint_passes/lint_diagnostics counters.
 	Recorder *obs.Recorder
 	// Context, when non-nil, cancels fact computation at the next
 	// checkpoint; Run then returns an error satisfying
@@ -380,11 +363,11 @@ func (r *Report) HasErrors() bool {
 	return e > 0
 }
 
-// Run lints g: it resolves the enabled pass set, computes the union of
-// their fact needs once, executes the passes in order and returns the
-// filtered report.  Run fails on unknown pass names in Enable/Disable
-// and on budget violations (cancellation, resource limits) during fact
-// computation; lint findings are diagnostics, not errors.
+// Run lints g: it resolves the enabled pass set, builds the pipeline
+// through the last stage they need, executes the passes in order and
+// returns the filtered report.  Run fails on unknown pass names in
+// Enable/Disable and on budget violations (cancellation, resource
+// limits) while building; lint findings are diagnostics, not errors.
 func Run(g *grammar.Grammar, opts Options) (rep *Report, err error) {
 	if g == nil {
 		return nil, fmt.Errorf("lint: nil grammar")
@@ -407,19 +390,9 @@ func Run(g *grammar.Grammar, opts Options) (rep *Report, err error) {
 	bud := guard.New(opts.Context, opts.Limits, rec)
 	bud.SetOwner(g.Name())
 
-	var needs Facts
+	var needs pipeline.Stage
 	for _, a := range passes {
-		needs |= a.Needs
-	}
-	// Imply prerequisites.
-	if needs&(FactTables) != 0 {
-		needs |= FactDP
-	}
-	if needs&(FactDP) != 0 {
-		needs |= FactLR0
-	}
-	if needs&(FactLR0) != 0 {
-		needs |= FactAnalysis
+		needs = max(needs, a.Needs)
 	}
 
 	pass := &Pass{
@@ -434,34 +407,11 @@ func Run(g *grammar.Grammar, opts Options) (rep *Report, err error) {
 	}
 
 	sp := rec.Start("lint-facts")
-	if needs&FactAnalysis != 0 {
-		pass.An = grammar.Analyze(g)
-	}
-	if needs&FactUsefulness != 0 {
-		pass.Useful = grammar.CheckUseful(g)
-	}
-	if needs&FactLR0 != 0 {
-		pass.Auto, err = lr0.NewBudgeted(g, pass.An, rec, bud)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-	}
-	if needs&FactDP != 0 {
-		pass.DP, err = core.ComputeBudgeted(pass.Auto, rec, bud)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-	}
-	if needs&FactTables != 0 {
-		pass.Tables, err = lalrtable.BuildBudgeted(pass.Auto, pass.DP.Sets(), rec, bud)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-	}
+	pass.Result, err = pipeline.Build(g, needs, rec, bud)
 	sp.End()
+	if err != nil {
+		return nil, err
+	}
 
 	rep = &Report{Grammar: g.Name(), File: opts.File}
 	if rep.File == "" {

@@ -6,12 +6,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/grammar"
 	"repro/internal/grammars"
-	"repro/internal/lalrtable"
-	"repro/internal/lr0"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 )
 
 // findAll returns the diagnostics with the given code.
@@ -340,9 +338,11 @@ func TestRunDeterministic(t *testing.T) {
 func TestConflictGate(t *testing.T) {
 	run := func(src string) error {
 		g := grammar.MustParse("t.y", src)
-		auto := lr0.New(g, grammar.Analyze(g))
-		dp := core.Compute(auto)
-		return ConflictGate(g, lalrtable.Build(auto, dp.Sets()))
+		pr, err := pipeline.Build(g, pipeline.Tables, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ConflictGate(g, pr.Tables)
 	}
 	if err := run(danglingElseSrc); err == nil {
 		t.Errorf("undeclared conflict should fail the gate")

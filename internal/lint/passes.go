@@ -12,6 +12,7 @@ import (
 	"repro/internal/digraph"
 	"repro/internal/grammar"
 	"repro/internal/lalrtable"
+	"repro/internal/pipeline"
 )
 
 // usedAnywhere reports whether terminal t occurs in some production
@@ -37,10 +38,9 @@ func usedAnywhere(g *grammar.Grammar, t grammar.Sym) bool {
 var uselessAnalyzer = &Analyzer{
 	Name:  "useless",
 	Doc:   "unproductive nonterminals and unreachable symbols",
-	Needs: FactUsefulness,
 	Codes: []Code{CodeUnproductive, CodeUnreachable},
 	Run: func(p *Pass) {
-		g, u := p.G, p.Useful
+		g, u := p.G, grammar.CheckUseful(p.G)
 		for s := 0; s < g.NumSymbols(); s++ {
 			sym := grammar.Sym(s)
 			if sym == grammar.EOF || sym == g.Accept() {
@@ -92,7 +92,7 @@ var unusedTokensAnalyzer = &Analyzer{
 var nullableCyclesAnalyzer = &Analyzer{
 	Name:  "nullable-cycles",
 	Doc:   "derivation cycles A ⇒+ A through nullable context (ambiguity)",
-	Needs: FactAnalysis,
+	Needs: pipeline.Analysis,
 	Codes: []Code{CodeDerivationCycle},
 	Run: func(p *Pass) {
 		g, rel := p.G, p.An.DerivesAlone()
@@ -123,7 +123,7 @@ var nullableCyclesAnalyzer = &Analyzer{
 var leftRecursionAnalyzer = &Analyzer{
 	Name:  "left-recursion",
 	Doc:   "inventory of left-recursive nonterminals",
-	Needs: FactAnalysis,
+	Needs: pipeline.Analysis,
 	Codes: []Code{CodeLeftRecursion},
 	Run: func(p *Pass) {
 		g, rel := p.G, &p.An.LeftCorner
@@ -234,7 +234,7 @@ var unitChainsAnalyzer = &Analyzer{
 var readsCyclesAnalyzer = &Analyzer{
 	Name:  "reads-cycles",
 	Doc:   "nontrivial reads cycles (the grammar is not LR(k))",
-	Needs: FactDP,
+	Needs: pipeline.DP,
 	Codes: []Code{CodeReadsCycle},
 	Run: func(p *Pass) {
 		st := p.DP.ReadsStats
@@ -267,7 +267,7 @@ var readsCyclesAnalyzer = &Analyzer{
 var includesCyclesAnalyzer = &Analyzer{
 	Name:  "includes-cycles",
 	Doc:   "inventory of nontrivial includes cycles",
-	Needs: FactDP,
+	Needs: pipeline.DP,
 	Codes: []Code{CodeIncludesCycle},
 	Run: func(p *Pass) {
 		st := p.DP.IncludesStats
@@ -299,7 +299,7 @@ var includesCyclesAnalyzer = &Analyzer{
 var conflictsAnalyzer = &Analyzer{
 	Name:  "conflicts",
 	Doc:   "shift/reduce and reduce/reduce conflict provenance",
-	Needs: FactTables | FactDP,
+	Needs: pipeline.Tables,
 	Codes: []Code{CodeShiftReduce, CodeReduceReduce, CodeExpectMismatch},
 	Run: func(p *Pass) {
 		g, t := p.G, p.Tables

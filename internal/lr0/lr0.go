@@ -119,9 +119,7 @@ func New(g *grammar.Grammar, an *grammar.Analysis) *Automaton {
 // nil Recorder and a nil Budget make it identical to New.
 func NewBudgeted(g *grammar.Grammar, an *grammar.Analysis, rec *obs.Recorder, bud *guard.Budget) (*Automaton, error) {
 	if an == nil {
-		sp := rec.Start("grammar-analysis")
 		an = grammar.Analyze(g)
-		sp.End()
 	}
 	a := &Automaton{G: g, An: an}
 	sp := rec.Start("lr0-states")
@@ -413,15 +411,6 @@ func (a *Automaton) Items(s *State) []Item {
 		}
 	})
 	return items
-}
-
-// ClosureNonterminals returns the nonterminal symbols closed into s.
-func (a *Automaton) ClosureNonterminals(s *State) []grammar.Sym {
-	var out []grammar.Sym
-	s.closureNts.ForEach(func(nt int) {
-		out = append(out, a.G.NtSym(nt))
-	})
-	return out
 }
 
 // ItemString renders an item as "A → α . β".

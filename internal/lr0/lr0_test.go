@@ -9,6 +9,15 @@ import (
 	"repro/internal/grammar"
 )
 
+// ClosureNonterminals returns the nonterminal symbols closed into s.
+func (a *Automaton) ClosureNonterminals(s *State) []grammar.Sym {
+	var out []grammar.Sym
+	s.closureNts.ForEach(func(nt int) {
+		out = append(out, a.G.NtSym(nt))
+	})
+	return out
+}
+
 // dragonSrc is grammar 4.1 of Aho–Sethi–Ullman, whose canonical LR(0)
 // collection is the textbook 12-state machine (13 here: shifting $end
 // out of the accepting kernel adds one state under yacc-style

@@ -32,6 +32,7 @@ import (
 	"repro/internal/lr0"
 	"repro/internal/lr1"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/prop"
 	"repro/internal/runtime"
 	"repro/internal/slr"
@@ -231,23 +232,22 @@ func Analyze(g *Grammar, opts Options) (res *Result, err error) {
 	defer root.End()
 	bud := guard.New(opts.Context, opts.Limits, rec)
 	bud.SetOwner(g.Name())
-	sp := rec.Start("grammar-analysis")
-	an := grammar.Analyze(g)
-	sp.End()
-	sp = rec.Start("lr0-construction")
-	a, err := lr0.NewBudgeted(g, an, rec, bud)
-	sp.End()
+	upto := pipeline.LR0
+	if opts.Method == MethodDeRemerPennello {
+		upto = pipeline.Tables
+	}
+	pr, err := pipeline.Build(g, upto, rec, bud)
 	if err != nil {
 		return nil, err
 	}
-	res = &Result{Grammar: g, Method: opts.Method, Automaton: a}
-	sp = rec.Start("lookahead-" + opts.Method.String())
+	a := pr.Auto
+	res = &Result{Grammar: g, Method: opts.Method, Automaton: a, DP: pr.DP, Tables: pr.Tables}
+	if pr.DP != nil {
+		res.Lookahead = pr.DP.Sets()
+		return res, nil
+	}
+	sp := rec.Start("lookahead-" + opts.Method.String())
 	switch opts.Method {
-	case MethodDeRemerPennello:
-		res.DP, err = core.ComputeBudgeted(a, rec, bud)
-		if err == nil {
-			res.Lookahead = res.DP.Sets()
-		}
 	case MethodSLR:
 		// SLR FOLLOW computation is linear in the grammar and needs no
 		// internal checkpoints; the budgeted LR(0) and table phases
@@ -257,7 +257,7 @@ func Analyze(g *Grammar, opts Options) (res *Result, err error) {
 		res.Lookahead, _, err = prop.ComputeBudgeted(a, rec, bud)
 	case MethodCanonicalMerge:
 		var m *lr1.Machine
-		if m, err = lr1.NewBudgeted(g, an, bud); err == nil {
+		if m, err = lr1.NewBudgeted(g, pr.An, bud); err == nil {
 			res.Lookahead = m.MergeLALR(a)
 		}
 	default:
