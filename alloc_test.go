@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/ambig"
 	"repro/internal/core"
 	"repro/internal/export"
 	"repro/internal/frozen"
@@ -144,21 +145,23 @@ func TestLR0AllocBound(t *testing.T) {
 // are nodes of a per-walk arena, configurations are pairs of node ids,
 // and extensions share a token trie, so lua's two walks (a GL040
 // witness after ~3,800 configurations and a context-bound GL042)
-// allocate O(arena growth + oracle work) blocks, about 1,300.  Walks
-// that copied a stack per successor and keyed configurations by
-// decimal strings made about 1.46 million.
+// allocate O(arena growth + oracle work) blocks, about 420 over the
+// grammar's walk tables (an ambig.Machine, built once outside the
+// count).  Walks that copied a stack per successor and keyed
+// configurations by decimal strings made about 1.46 million.
 //
 // The byte bound pins the pooled working set: the arena, trie, work
 // lists and pair queue come warm from earlier walks, and the queue
 // stores only the pairs the walk can pop, so after one warm-up walk
-// lua's walks allocate about 2.4 MB, most of it the visited set, which
+// lua's walks allocate about 2.1 MB, most of it the visited set, which
 // is not pooled.  Growing the working set from empty on every walk
 // and storing every queued pair cost 14.2 MB.  The byte bound is
 // lifted under the race detector (see raceEnabled).
 func TestAmbigWalkAllocBound(t *testing.T) {
 	a, sets, open := ambigSetup(t, "lua")
-	const bound = 20000
-	got := testing.AllocsPerRun(2, func() { ambigWalks(a, sets, open) })
+	m := ambig.NewMachine(a, sets)
+	const bound = 2000
+	got := testing.AllocsPerRun(2, func() { ambigWalks(m, open) })
 	t.Logf("lua ambiguity walks: %.0f allocs (bound %d)", got, bound)
 	if got > bound {
 		t.Errorf("lua's ambiguity walks allocate %.0f times, bound %d — the stack arena has regressed", got, bound)
@@ -166,14 +169,14 @@ func TestAmbigWalkAllocBound(t *testing.T) {
 
 	// On one P the walks find the scratch the last walk put in that P's
 	// pool; the least of three runs skips one a GC emptied the pool for.
-	const byteBound = 4 << 20
+	const byteBound = 3 << 20
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ambigWalks(a, sets, open) // leaves a warm scratch in the pool
+	ambigWalks(m, open) // leaves a warm scratch in the pool
 	bytes := uint64(math.MaxUint64)
 	for range 3 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ambigWalks(a, sets, open)
+		ambigWalks(m, open)
 		runtime.ReadMemStats(&after)
 		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}

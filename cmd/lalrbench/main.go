@@ -199,9 +199,10 @@ func selects(filter, id string) bool {
 }
 
 // machines is one grammar's governed pass: the pipeline through its
-// LALR(1) tables and the canonical LR(1) machine.
+// LALR(1) tables, the SLR(1) tables and the canonical LR(1) machine.
 type machines struct {
 	*pipeline.Result
+	slr *lalrtable.Tables
 	lr1 *lr1.Machine
 }
 
@@ -226,11 +227,15 @@ func statsPass(gs []*grammar.Grammar, gf *cliguard.Flags, out io.Writer) ([]*mac
 			if err != nil {
 				return err
 			}
+			slrT, err := lalrtable.BuildBudgeted(pr.Auto, slr.Compute(pr.Auto), nil, bud)
+			if err != nil {
+				return err
+			}
 			m, err := lr1.NewBudgeted(g, pr.An, bud)
 			if err != nil {
 				return err
 			}
-			ms[i] = &machines{Result: pr, lr1: m}
+			ms[i] = &machines{Result: pr, slr: slrT, lr1: m}
 			return nil
 		})
 	if err != nil {
@@ -354,9 +359,8 @@ func tableIV(ms []*machines) string {
 	}
 	for _, m := range ms {
 		a, g := m.Auto, m.Auto.G
-		slrT := lalrtable.Build(a, slr.Compute(a))
 		lsr, lrr := m.Tables.Unresolved()
-		ssr, srr := slrT.Unresolved()
+		ssr, srr := m.slr.Unresolved()
 		csr, crr := m.lr1.ResolvedConflictCounts(unresolvedSR)
 		inad := 0
 		for _, s := range a.States {

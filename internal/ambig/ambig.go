@@ -23,6 +23,8 @@
 package ambig
 
 import (
+	"sync"
+
 	"repro/internal/bitset"
 	"repro/internal/cex"
 	"repro/internal/glr"
@@ -69,8 +71,8 @@ type Bounds struct {
 	// MaxPairs bounds the number of stack-pair configurations explored
 	// (default 4096).
 	MaxPairs int
-	// MaxSteps bounds reduce applications per closure, guarding against
-	// reduction cycles (default 512).
+	// MaxSteps bounds each terminal's reduce applications per closure,
+	// guarding against reduction cycles (default 512).
 	MaxSteps int
 	// MaxContexts bounds the number of automaton paths into the
 	// conflict state tried as seed contexts (default 32).  The shortest
@@ -151,33 +153,63 @@ type Config struct {
 	Recorder *obs.Recorder
 }
 
-// Walker walks SR-automata for one grammar's conflicts.  It is safe
-// for concurrent Walk calls only when each call gets its own Walker
-// (the lint fan-out forks one per conflict); a single Walker is
-// single-goroutine.
-type Walker struct {
+// Machine is the read-only, per-automaton part of the walk: the tables
+// every conflict's walk reads, built once per grammar by NewMachine.
+// No walk writes them; the two caches filled on first use, the state
+// rank and the cex generator's strings, are guarded by a sync.Once and
+// the generator's mutex.  It is safe for concurrent use; each goroutine
+// walks through a Walker of its own.
+type Machine struct {
 	a       *lr0.Automaton
 	g       *grammar.Grammar
-	sets    [][]bitset.Set
 	gen     *cex.Generator
-	parser  *glr.Parser
+	recog   *glr.Parser        // the GLR oracle, copied into each Walker
 	counter *treecount.Counter // nil when the grammar has derivation cycles
-	bounds  Bounds
-	bud     *guard.Budget
-	rec     *obs.Recorder
 
-	// pred[s] lists the automaton's in-edges of state s; dist0[s] is
-	// the edge-count distance from the start state (-1 if unreachable).
-	// Both drive the bounded context enumeration.
-	pred  [][]predEdge
-	dist0 []int
+	// predE[predAt[s]:predAt[s+1]] lists the automaton's in-edges of
+	// state s; dist0[s] is the edge-count distance from the start state
+	// (-1 if unreachable).  Both drive the bounded context enumeration.
+	predAt []int32
+	predE  []predEdge
+	dist0  []int
 	// rank orders states by their decimal strings (see keyLess); built
 	// on first use, since most walks never compare two stacks.
-	rank []int32
+	rankOnce sync.Once
+	rank     []int32
 	// gotoTab[s*numSyms+x] is 1 + state s's transition on x, or 0: the
 	// walk's successor step, without Goto's binary search.
 	gotoTab []int32
 	numSyms int
+
+	// The reduce closure's word tables, nw words per terminal set.
+	// shiftW[s*nw:] is the terminals state s shifts.  State s's live
+	// reductions (the accept production and empty look-ahead sets
+	// dropped, in Reductions order) are reds[redAt[s]:redAt[s+1]], and
+	// laW[r*nw:] is reduction r's look-ahead set.  wantAll is every
+	// terminal but $end, the terminals a walk extends a pair by.
+	nw      int
+	shiftW  []uint64
+	redAt   []int32
+	reds    []reduction
+	laW     []uint64
+	wantAll []uint64
+}
+
+// reduction is one live reduce item of the closure tables.
+type reduction struct {
+	lhs grammar.Sym
+	rhs int32 // right-hand side length
+}
+
+// Walker walks SR-automata for one Machine under one Config.  A Walker
+// is single-goroutine; concurrent walks over one Machine each take a
+// Walker of their own, which costs a copy of the configuration.
+type Walker struct {
+	*Machine
+	bounds Bounds
+	bud    *guard.Budget
+	rec    *obs.Recorder
+	parser glr.Parser // the machine's recogniser under this walker's budget
 
 	// The running walk's working set, taken from walkScratch when
 	// Walk starts and given back when it ends (nil between walks), so
@@ -187,57 +219,121 @@ type Walker struct {
 
 // predEdge is one reversed automaton transition.
 type predEdge struct {
-	from int
+	from int32
 	sym  grammar.Sym
 }
 
-// New builds a Walker over an automaton and its per-reduction
-// look-ahead sets (any method's; DeRemer–Pennello's in practice).
-func New(a *lr0.Automaton, sets [][]bitset.Set, cfg Config) *Walker {
-	w := &Walker{
-		a:      a,
-		g:      a.G,
-		sets:   sets,
-		gen:    cex.NewGenerator(a),
-		bounds: cfg.Bounds.withDefaults(),
-		bud:    cfg.Budget,
-		rec:    cfg.Recorder,
+// NewMachine builds the walk tables of an automaton and its
+// per-reduction look-ahead sets (any method's; DeRemer–Pennello's in
+// practice).
+func NewMachine(a *lr0.Automaton, sets [][]bitset.Set) *Machine {
+	m := &Machine{
+		a:     a,
+		g:     a.G,
+		gen:   cex.NewGenerator(a),
+		recog: glr.New(a, sets),
 	}
-	w.parser = glr.New(a, sets)
-	w.parser.Budget = cfg.Budget
 	// A cyclic grammar has no finite tree counts; without the second
 	// oracle no candidate can be proven, so every walk is Undecided.
-	w.counter, _ = treecount.New(a.An)
+	m.counter, _ = treecount.New(a.An)
 	n := len(a.States)
-	w.numSyms = a.G.NumSymbols()
-	w.gotoTab = make([]int32, n*w.numSyms)
-	w.pred = make([][]predEdge, n)
+	nt := a.G.NumTerminals()
+	m.numSyms = a.G.NumSymbols()
+	m.nw = (nt + 63) / 64
+	m.gotoTab = make([]int32, n*m.numSyms)
+	m.shiftW = make([]uint64, n*m.nw)
+	m.predAt = make([]int32, n+2)
+	m.redAt = make([]int32, n+1)
+	reds := 0
 	for _, s := range a.States {
 		for _, tr := range s.Transitions {
-			w.gotoTab[s.Index*w.numSyms+int(tr.Sym)] = int32(tr.To) + 1
-			if tr.Sym == grammar.EOF {
+			if tr.Sym != grammar.EOF {
+				m.predAt[tr.To+2]++
+			}
+		}
+		reds += len(s.Reductions)
+	}
+	for s := 2; s <= n+1; s++ {
+		m.predAt[s] += m.predAt[s-1]
+	}
+	m.predE = make([]predEdge, m.predAt[n+1])
+	m.reds = make([]reduction, 0, reds)
+	m.laW = make([]uint64, 0, reds*m.nw)
+	for _, s := range a.States {
+		for _, tr := range s.Transitions {
+			m.gotoTab[s.Index*m.numSyms+int(tr.Sym)] = int32(tr.To) + 1
+			if int(tr.Sym) < nt {
+				m.shiftW[s.Index*m.nw+int(tr.Sym)/64] |= 1 << (uint(tr.Sym) % 64)
+			}
+			if tr.Sym != grammar.EOF {
+				// predAt[to+1] walks to's slots and ends as its end.
+				m.predE[m.predAt[tr.To+1]] = predEdge{from: int32(s.Index), sym: tr.Sym}
+				m.predAt[tr.To+1]++
+			}
+		}
+		for ord, pi := range s.Reductions {
+			la := sets[s.Index][ord]
+			if pi == 0 || la.Empty() {
 				continue
 			}
-			w.pred[tr.To] = append(w.pred[tr.To], predEdge{from: s.Index, sym: tr.Sym})
+			off := len(m.laW)
+			m.laW = m.laW[:off+m.nw] // zero: capacity is exact and fresh
+			la.ForEach(func(t int) {
+				if t < nt {
+					m.laW[off+t/64] |= 1 << (uint(t) % 64)
+				}
+			})
+			prod := a.G.Prod(pi)
+			m.reds = append(m.reds, reduction{lhs: prod.Lhs, rhs: int32(len(prod.Rhs))})
 		}
+		m.redAt[s.Index+1] = int32(len(m.reds))
 	}
-	w.dist0 = make([]int, n)
-	for i := range w.dist0 {
-		w.dist0[i] = -1
+	m.predAt = m.predAt[:n+1]
+	m.wantAll = make([]uint64, m.nw)
+	for t := 1; t < nt; t++ {
+		m.wantAll[t/64] |= 1 << (uint(t) % 64)
 	}
-	w.dist0[0] = 0
-	bfs := []int{0}
+	m.dist0 = make([]int, n)
+	for i := range m.dist0 {
+		m.dist0[i] = -1
+	}
+	m.dist0[0] = 0
+	bfs := make([]int, 1, n)
 	for i := 0; i < len(bfs); i++ {
 		q := bfs[i]
 		for _, tr := range a.States[q].Transitions {
-			if tr.Sym == grammar.EOF || w.dist0[tr.To] >= 0 {
+			if tr.Sym == grammar.EOF || m.dist0[tr.To] >= 0 {
 				continue
 			}
-			w.dist0[tr.To] = w.dist0[q] + 1
+			m.dist0[tr.To] = m.dist0[q] + 1
 			bfs = append(bfs, int(tr.To))
 		}
 	}
+	return m
+}
+
+// Walker returns a walker over m under cfg.
+func (m *Machine) Walker(cfg Config) *Walker {
+	w := &Walker{
+		Machine: m,
+		bounds:  cfg.Bounds.withDefaults(),
+		bud:     cfg.Budget,
+		rec:     cfg.Recorder,
+		parser:  *m.recog,
+	}
+	w.parser.Budget = cfg.Budget
 	return w
+}
+
+// preds returns the in-edges of state s.
+func (m *Machine) preds(s int32) []predEdge {
+	return m.predE[m.predAt[s]:m.predAt[s+1]]
+}
+
+// ranks returns the states' decimal-string ranks, built on first use.
+func (m *Machine) ranks() []int32 {
+	m.rankOnce.Do(func() { m.rank = decimalRanks(len(m.a.States)) })
+	return m.rank
 }
 
 // undecided builds an Undecided verdict with a stop reason.

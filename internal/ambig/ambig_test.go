@@ -32,7 +32,7 @@ func build(t *testing.T, name string, cfg Config) (*Walker, []lalrtable.Conflict
 			open = append(open, c)
 		}
 	}
-	return New(a, sets, cfg), open
+	return NewMachine(a, sets).Walker(cfg), open
 }
 
 func TestDanglingElseProvenAmbiguous(t *testing.T) {
@@ -152,7 +152,7 @@ func TestCorpusWalksComplete(t *testing.T) {
 			defer cancel()
 			bud := guard.New(ctx, guard.Limits{CheckEvery: 16}, nil)
 			rec := obs.New()
-			w := New(a, sets, Config{
+			w := NewMachine(a, sets).Walker(Config{
 				Bounds:   Bounds{MaxLen: 8, MaxPairs: 512},
 				Budget:   bud,
 				Recorder: rec,

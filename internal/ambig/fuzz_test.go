@@ -48,7 +48,7 @@ func FuzzAmbig(f *testing.F) {
 		if err != nil {
 			return
 		}
-		w := New(pr.Auto, pr.DP.Sets(), Config{
+		w := NewMachine(pr.Auto, pr.DP.Sets()).Walker(Config{
 			Bounds:   Bounds{MaxLen: 6, MaxPairs: 128, MaxSteps: 128, MaxContexts: 8},
 			Budget:   bud,
 			Recorder: obs.New(),

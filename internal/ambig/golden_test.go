@@ -113,8 +113,9 @@ func goldenReport(t testing.TB, short bool) string {
 	}
 	for _, gg := range gs {
 		a, dp, open := openConflicts(t, gg.name, gg.src)
+		m := NewMachine(a, dp.Sets())
 		for _, bs := range goldenBounds {
-			w := New(a, dp.Sets(), Config{Bounds: bs.b})
+			w := m.Walker(Config{Bounds: bs.b})
 			for _, c := range open {
 				out.WriteString(goldenLine(a.G, gg.name, bs.name, w.Walk(c)))
 			}
@@ -126,7 +127,7 @@ func goldenReport(t testing.TB, short bool) string {
 		a, dp, open := openConflicts(t, e.Name, e.Src)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		w := New(a, dp.Sets(), Config{Budget: guard.New(ctx, guard.Limits{CheckEvery: 1}, nil)})
+		w := NewMachine(a, dp.Sets()).Walker(Config{Budget: guard.New(ctx, guard.Limits{CheckEvery: 1}, nil)})
 		for _, c := range open {
 			out.WriteString(goldenLine(a.G, e.Name, "canceled", w.Walk(c)))
 		}

@@ -6,7 +6,8 @@ package ambig
 // stacks after diverging — "convergent" pairs, where any accepted
 // completion is immediately a candidate).  Successor computation is the
 // LA-gated reduce closure followed by a shift, exactly the
-// nondeterministic SR-automaton's moves.
+// nondeterministic SR-automaton's moves, for every terminal of a set in
+// one pass (closure).
 //
 // Stacks are hash-consed nodes of a per-walk arena: a node is a state
 // on top of a parent node, and pushing a state onto a parent returns
@@ -18,6 +19,7 @@ package ambig
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
@@ -40,17 +42,39 @@ type node struct {
 }
 
 // scratch is one walk's working set: the stack arena, the extension
-// trie, the context enumeration's partial paths, succ's work list, two
-// successor buffers and the pair queue.  Walks take it from walkScratch
-// and give it back when they end, so a walk grows its slices only past
-// the largest an earlier walk left.
+// trie, the context enumeration's partial paths, the closure's work
+// list with its live sets, two successor sets and the pair queue.
+// Walks take it from walkScratch and give it back when they end, so a
+// walk grows its slices only past the largest an earlier walk left.
 type scratch struct {
-	nodes      []node
-	trie       []extTok
-	steps      []ctxStep
-	work       []int32
-	bufA, bufB []int32
-	queue      []pairCfg
+	nodes  []node
+	trie   []extTok
+	steps  []ctxStep
+	work   []int32
+	live   []uint64 // nw words per work item
+	alive  []uint64 // wanted terminals not yet truncated
+	want   []uint64
+	counts []int32 // the closure's reduce steps per terminal
+	sa, sb succs
+	queue  []pairCfg
+}
+
+// succs is one closure's output: each wanted terminal's successor
+// stacks in emission order, and after bucket the same grouped by
+// terminal.
+type succs struct {
+	raw []shiftOut // every successor in emission order
+	ts  []uint64   // the terminals with some successor
+	cut []uint64   // the terminals whose closure MaxSteps truncated
+	// After bucket, terminal t of ts has the stacks by[lo[t]:hi[t]].
+	lo, hi []int32
+	by     []int32
+}
+
+// shiftOut is one successor stack: stack, reached by shifting t.
+type shiftOut struct {
+	t     int32
+	stack int32
 }
 
 // walkScratch holds the scratch of finished walks.  The visited set is
@@ -94,9 +118,6 @@ func (w *Walker) push(parent int32, state int) int32 {
 // follows this order because the candidate test looks at the second
 // stack only when the first accepts once.
 func (w *Walker) keyLess(a, b int32) bool {
-	if w.rank == nil {
-		w.rank = decimalRanks(len(w.a.States))
-	}
 	x, y := a, b
 	//guardloop:ok climbs at most the depth difference of two stacks
 	for w.nodes[x].depth > w.nodes[y].depth {
@@ -113,7 +134,8 @@ func (w *Walker) keyLess(a, b int32) bool {
 	for w.nodes[x].parent != w.nodes[y].parent {
 		x, y = w.nodes[x].parent, w.nodes[y].parent
 	}
-	return w.rank[w.nodes[x].state] < w.rank[w.nodes[y].state]
+	rank := w.ranks()
+	return rank[w.nodes[x].state] < rank[w.nodes[y].state]
 }
 
 // decimalRanks ranks states 0..n-1 by their decimal strings.
@@ -138,59 +160,162 @@ func (w *Walker) gotoOf(state int, x grammar.Sym) int {
 	return int(w.gotoTab[state*w.numSyms+int(x)]) - 1
 }
 
-// succ appends to dst one successor stack per distinct action path:
-// every way to reduce (repeatedly, look-ahead-gated on t) and then
-// shift t.  Outputs are deliberately NOT deduplicated — two reduce
-// paths reaching the same stack are two distinct parse histories, and
-// that multiplicity is what seeds convergent pairs.  truncated reports
-// that the closure step bound cut the enumeration, in which case a
+// closure computes, in one pass, the successor stacks of stack for
+// every terminal t in want: every way to reduce (repeatedly, each
+// reduce gated on its look-ahead) and then shift t.  A work item
+// carries the terminals under which its reduce path is still live, the
+// wanted set intersected with each applied reduction's look-ahead set,
+// so each reduce is applied and pushed once for all the terminals it
+// serves.  Per terminal the outputs are exactly those of a closure run
+// for that terminal alone, in its order: a terminal's items are a
+// breadth-first subtree of the work list.  Outputs are deliberately
+// NOT deduplicated — two reduce paths reaching the same stack are two
+// distinct parse histories, and that multiplicity is what seeds
+// convergent pairs.  MaxSteps bounds each terminal's reduce steps on
+// its own: a terminal past it drops out of the live sets, where its
+// lone closure would stop.  truncated reports that it cut some
+// terminal's enumeration (out.cut says which), in which case a
 // negative final verdict must degrade to Undecided.
-func (w *Walker) succ(dst []int32, stack int32, t grammar.Sym) (out []int32, truncated bool) {
-	out = dst
+func (w *Walker) closure(out *succs, stack int32, want []uint64) (truncated bool) {
+	nw := w.nw
+	out.raw = out.raw[:0]
+	out.ts = zeroed(out.ts, nw)
+	out.cut = zeroed(out.cut, nw)
+	alive := append(w.alive[:0], want...)
+	w.counts = zeroed(w.counts, nw*64)
 	work := append(w.work[:0], stack)
-	steps := 0
+	live := append(w.live[:0], want...)
+	//guardloop:ok each item past the first is a reduce charged to a live terminal: at most 1 + nt·MaxSteps
 	for i := 0; i < len(work); i++ {
 		s := work[i]
 		top := int(w.nodes[s].state)
-		st := w.a.States[top]
-		if to := w.gotoOf(top, t); to >= 0 {
-			out = append(out, w.push(s, to))
+		for k := 0; k < nw; k++ {
+			x := live[i*nw+k] & alive[k] & w.shiftW[top*nw+k]
+			out.ts[k] |= x
+			//guardloop:ok one step per shifted terminal of the word
+			for ; x != 0; x &= x - 1 {
+				t := k*64 + bits.TrailingZeros64(x)
+				out.raw = append(out.raw, shiftOut{t: int32(t), stack: w.push(s, w.gotoOf(top, grammar.Sym(t)))})
+			}
 		}
-		for ord, pi := range st.Reductions {
-			if pi == 0 || !w.sets[top][ord].Has(int(t)) {
+		for r := w.redAt[top]; r < w.redAt[top+1]; r++ {
+			// The reduce's live terminals: the item's, less those
+			// truncated, gated on the look-ahead.
+			base := len(live)
+			hit := uint64(0)
+			for k := 0; k < nw; k++ {
+				x := live[i*nw+k] & alive[k] & w.laW[int(r)*nw+k]
+				live = append(live, x)
+				hit |= x
+			}
+			if hit != 0 {
+				hit = w.charge(live[base:], alive, out.cut)
+			}
+			red := w.reds[r]
+			if hit == 0 || w.nodes[s].depth-red.rhs < 1 {
+				// No live terminal, or the reduce would pop the start
+				// state: impossible parse.
+				live = live[:base]
 				continue
 			}
-			if steps++; steps > w.bounds.MaxSteps {
-				w.work = work
-				return out, true
-			}
-			prod := w.g.Prod(pi)
-			if int(w.nodes[s].depth)-len(prod.Rhs) < 1 {
-				continue // would pop the start state: impossible parse
-			}
 			below := s
-			for range prod.Rhs {
+			for range red.rhs {
 				below = w.nodes[below].parent
 			}
-			to := w.gotoOf(int(w.nodes[below].state), prod.Lhs)
+			to := w.gotoOf(int(w.nodes[below].state), red.lhs)
 			if to < 0 {
+				live = live[:base]
 				continue
 			}
 			work = append(work, w.push(below, to))
 		}
 	}
-	w.work = work
-	return out, false
+	w.work, w.live, w.alive = work, live, alive
+	for _, x := range out.cut {
+		if x != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// charge counts one reduce step for each terminal of live.  A terminal
+// past MaxSteps steps leaves live and alive and joins cut.  left is
+// nonzero when some terminal of live is left.
+func (w *Walker) charge(live, alive, cut []uint64) (left uint64) {
+	for k := range alive {
+		//guardloop:ok one step per live terminal of the word
+		for x := live[k]; x != 0; x &= x - 1 {
+			t := k*64 + bits.TrailingZeros64(x)
+			if w.counts[t]++; w.counts[t] > int32(w.bounds.MaxSteps) {
+				bit := uint64(1) << (uint(t) % 64)
+				alive[k] &^= bit
+				live[k] &^= bit
+				cut[k] |= bit
+			}
+		}
+		left |= live[k]
+	}
+	return left
+}
+
+// bucket groups out's successors by terminal, stably.
+func (out *succs) bucket() {
+	if n := len(out.ts) * 64; len(out.lo) < n {
+		out.lo, out.hi = make([]int32, n), make([]int32, n)
+	}
+	for _, o := range out.raw {
+		out.hi[o.t] = 0
+	}
+	for _, o := range out.raw {
+		out.hi[o.t]++
+	}
+	off := int32(0)
+	for k, x := range out.ts {
+		//guardloop:ok one step per terminal of the word
+		for ; x != 0; x &= x - 1 {
+			t := k*64 + bits.TrailingZeros64(x)
+			out.lo[t], off = off, off+out.hi[t]
+			out.hi[t] = out.lo[t]
+		}
+	}
+	out.by = zeroed(out.by, len(out.raw))
+	for _, o := range out.raw {
+		out.by[out.hi[o.t]] = o.stack
+		out.hi[o.t]++
+	}
+}
+
+// of returns the successors on terminal t, one of ts, of a bucketed
+// closure.
+func (out *succs) of(t int) []int32 {
+	return out.by[out.lo[t]:out.hi[t]]
+}
+
+// zeroed returns s resized to n zero elements, reusing its storage.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// single sets w.want to the one terminal t and returns it.
+func (w *Walker) single(t grammar.Sym) []uint64 {
+	w.want = zeroed(w.want, w.nw)
+	w.want[int(t)/64] = 1 << (uint(t) % 64)
+	return w.want
 }
 
 // accepts counts the distinct action paths on which the stack accepts
 // at end of input: reduce closure under $end look-ahead, then a shift
 // of $end into the accept state.
 func (w *Walker) accepts(stack int32) (n int, truncated bool) {
-	out, trunc := w.succ(w.bufA[:0], stack, grammar.EOF)
-	w.bufA = out
-	for _, s := range out {
-		if int(w.nodes[s].state) == w.a.Accept {
+	trunc := w.closure(&w.sa, stack, w.single(grammar.EOF))
+	for _, o := range w.sa.raw {
+		if int(w.nodes[o.stack].state) == w.a.Accept {
 			n++
 		}
 	}
@@ -239,12 +364,12 @@ func (w *Walker) contexts(state int) (out []seedCtx, complete bool) {
 			out = append(out, w.context(work, i))
 			// Do not extend past the start state: longer contexts
 			// through it revisit 0 and are cut here.
-			if len(w.pred[0]) > 0 {
+			if len(w.preds(0)) > 0 {
 				complete = false
 			}
 			continue
 		}
-		for _, e := range w.pred[p.state] {
+		for _, e := range w.preds(p.state) {
 			if int(p.n)+1+w.dist0[e.from] > maxEdges {
 				complete = false
 				continue
@@ -252,7 +377,7 @@ func (w *Walker) contexts(state int) (out []seedCtx, complete bool) {
 			// Steps past index MaxPairs are never popped: one there
 			// only has to exist to end the enumeration.
 			if len(work) <= w.bounds.MaxPairs {
-				work = append(work, ctxStep{state: int32(e.from), sym: e.sym, prev: int32(i), n: p.n + 1})
+				work = append(work, ctxStep{state: e.from, sym: e.sym, prev: int32(i), n: p.n + 1})
 			}
 		}
 	}
@@ -417,16 +542,15 @@ func (w *Walker) walk(c lalrtable.Conflict) Verdict {
 	st.Contexts = len(ctxs)
 	bases := make([][]grammar.Sym, len(ctxs))
 	for ci, ctx := range ctxs {
-		seeds, trunc := w.succ(w.bufB[:0], ctx.stack, c.Terminal)
-		w.bufB = seeds
-		truncated = truncated || trunc
+		truncated = w.closure(&w.sb, ctx.stack, w.single(c.Terminal)) || truncated
+		seeds := w.sb.raw
 		base := make([]grammar.Sym, 0, len(ctx.toks)+1)
 		base = append(base, ctx.toks...)
 		bases[ci] = append(base, c.Terminal)
 		for i := 0; i < len(seeds); i++ {
 			for j := i + 1; j < len(seeds); j++ {
-				if admit(seeds[i], seeds[j]) {
-					enqueue(seeds[i], seeds[j], int32(ci), -1)
+				if x, y := seeds[i].stack, seeds[j].stack; admit(x, y) {
+					enqueue(x, y, int32(ci), -1)
 				}
 			}
 		}
@@ -479,33 +603,32 @@ func (w *Walker) walk(c lalrtable.Conflict) Verdict {
 			lengthCut = true
 			continue
 		}
-		for t := grammar.Sym(1); int(t) < w.g.NumTerminals(); t++ {
-			nextA, tA := w.succ(w.bufA[:0], p.a, t)
-			w.bufA = nextA
-			truncated = truncated || tA
-			if len(nextA) == 0 {
-				continue
-			}
-			nextB := nextA
-			if !conv {
-				var tB bool
-				nextB, tB = w.succ(w.bufB[:0], p.b, t)
-				w.bufB = nextB
-				truncated = truncated || tB
-				if len(nextB) == 0 {
-					continue
-				}
-			}
-			ext := int32(-1) // extended on the first stored pair
-			for _, x := range nextA {
-				for _, y := range nextB {
-					if !admit(x, y) {
-						continue
+		// Every terminal's successors of a in one closure, then b's for
+		// exactly the terminals on which a has some.
+		truncated = w.closure(&w.sa, p.a, w.wantAll) || truncated
+		w.sa.bucket()
+		nextB := &w.sa
+		if !conv {
+			truncated = w.closure(&w.sb, p.b, w.sa.ts) || truncated
+			w.sb.bucket()
+			nextB = &w.sb
+		}
+		for k := range w.nw {
+			//guardloop:ok one step per terminal of the word
+			for both := w.sa.ts[k] & nextB.ts[k]; both != 0; both &= both - 1 {
+				t := k*64 + bits.TrailingZeros64(both)
+				xs, ys := w.sa.of(t), nextB.of(t)
+				ext := int32(-1) // extended on the first stored pair
+				for _, x := range xs {
+					for _, y := range ys {
+						if !admit(x, y) {
+							continue
+						}
+						if ext < 0 {
+							ext = w.extend(p.ext, grammar.Sym(t))
+						}
+						enqueue(x, y, p.base, ext)
 					}
-					if ext < 0 {
-						ext = w.extend(p.ext, t)
-					}
-					enqueue(x, y, p.base, ext)
 				}
 			}
 		}

@@ -9,6 +9,7 @@ package cex
 import (
 	"container/heap"
 	"strings"
+	"sync"
 
 	"repro/internal/grammar"
 	"repro/internal/lalrtable"
@@ -36,9 +37,12 @@ func (e *Example) String(g *grammar.Grammar) string {
 	return b.String()
 }
 
-// Generator precomputes per-automaton data shared by all examples.
+// Generator precomputes per-automaton data shared by all examples.  It
+// is safe for concurrent use: the strings and paths it fills in on
+// first use are guarded by mu.
 type Generator struct {
-	a *lr0.Automaton
+	a  *lr0.Automaton
+	mu sync.Mutex
 	// minLen[sym] is the length of the shortest terminal string the
 	// symbol derives (terminals: 1), saturating at cap.
 	minLen []int
@@ -167,6 +171,8 @@ func (gen *Generator) shortest(s grammar.Sym) []grammar.Sym {
 // unreachable by terminal-derivable paths (cannot happen for reduced
 // grammars).
 func (gen *Generator) ForState(state int) []grammar.Sym {
+	gen.mu.Lock()
+	defer gen.mu.Unlock()
 	if gen.dist == nil {
 		gen.shortestPaths()
 	}
@@ -188,6 +194,8 @@ func (gen *Generator) ForState(state int) []grammar.Sym {
 // Expand materialises a shortest terminal string deriving each symbol
 // of the sequence in turn (terminals map to themselves).
 func (gen *Generator) Expand(syms []grammar.Sym) []grammar.Sym {
+	gen.mu.Lock()
+	defer gen.mu.Unlock()
 	out := []grammar.Sym{}
 	for _, s := range syms {
 		out = append(out, gen.shortest(s)...)

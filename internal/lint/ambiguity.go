@@ -44,7 +44,9 @@ func runAmbiguity(p *Pass) {
 	}
 
 	bounds := ambig.Bounds{MaxLen: p.AmbigMaxLen, MaxPairs: p.AmbigMaxPairs}
-	sets := p.DP.Sets()
+	// The walk tables are per automaton: built once here, read by every
+	// conflict's walk.
+	m := ambig.NewMachine(p.Auto, p.DP.Sets())
 
 	// Fork the budgets serially up front and join them in index order
 	// after the pool drains, so resource accounting is deterministic
@@ -64,7 +66,7 @@ func runAmbiguity(p *Pass) {
 	}, func(_ context.Context, i int, rec *obs.Recorder) error {
 		cfg := *children[i]
 		cfg.Recorder = rec
-		verdicts[i] = ambig.New(p.Auto, sets, cfg).Walk(open[i])
+		verdicts[i] = m.Walker(cfg).Walk(open[i])
 		return nil
 	})
 	for i := range open {

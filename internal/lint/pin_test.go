@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/grammar"
 	"repro/internal/grammars"
+	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/pin.golden")
@@ -92,5 +93,35 @@ func TestLintPin(t *testing.T) {
 	}
 	if len(gl) != len(wl) {
 		t.Fatalf("report count differs from the pin: got %d lines, want %d", len(gl), len(wl))
+	}
+}
+
+// TestAmbigWorkPin pins the ambiguity walks' work on the corpus at the
+// default bounds: the walks, witnesses, popped configurations and
+// interned stack nodes each grammar's lint records.  Verdicts alone
+// would not notice a successor step that explores more or less of the
+// SR-automaton on the way to the same answer.
+func TestAmbigWorkPin(t *testing.T) {
+	type work struct{ walks, witnesses, pairs, nodes int64 }
+	want := map[string]work{
+		"csub":          {1, 0, 0, 225},
+		"dangling-else": {1, 1, 7, 45},
+		"lua":           {2, 1, 3781, 60394},
+		"not-lalr":      {2, 0, 0, 22},
+		"pascal":        {1, 0, 0, 54},
+		"pli":           {1, 1, 239, 1457},
+	}
+	for _, e := range grammars.All() {
+		rec := obs.New()
+		if _, err := Run(grammars.MustLoad(e.Name), Options{Enable: []string{"ambiguity"}, Recorder: rec}); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		got := work{
+			rec.Counter(obs.CAmbigWalks), rec.Counter(obs.CAmbigWitnesses),
+			rec.Counter(obs.CAmbigPairs), rec.Counter(obs.CAmbigStackNodes),
+		}
+		if got != want[e.Name] {
+			t.Errorf("%s: ambiguity walks/witnesses/pairs/stack nodes = %v, want %v", e.Name, got, want[e.Name])
+		}
 	}
 }
