@@ -141,6 +141,45 @@ func TestLR0AllocBound(t *testing.T) {
 	}
 }
 
+// TestGrammarParseAllocBound pins the one-pass grammar reader.  Parse
+// interns each name once into a map and a table of provisional
+// symbols, appends every right-hand side to one arena, and Build
+// allocates each of the Grammar's arrays once, so reading the 15 corpus
+// grammars allocates 568 times and about 364 KB.  The reader it
+// replaced built a name slice per alternative, and Build renumbered
+// them through four string-keyed maps and a right-hand side per
+// production: 6,399 allocations and about 1.0 MB.  The bounds keep
+// about 50% headroom over the new figures and fail long before either
+// copy returns.
+func TestGrammarParseAllocBound(t *testing.T) {
+	es := grammars.All()
+	parse := func() {
+		for _, e := range es {
+			if _, err := grammar.Parse(e.Name+".y", e.Src); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const bound, byteBound = 900, 560 << 10
+	got := testing.AllocsPerRun(10, parse)
+	t.Logf("grammar.Parse(corpus): %.0f allocs (bound %d)", got, bound)
+	if got > bound {
+		t.Errorf("grammar.Parse allocates %.0f times over the corpus, bound %d — the one-pass reader has regressed", got, bound)
+	}
+	bytes := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		parse()
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("grammar.Parse(corpus): %d bytes allocated (bound %d)", bytes, byteBound)
+	if bytes > byteBound {
+		t.Errorf("grammar.Parse allocates %d bytes over the corpus, bound %d — the one-pass reader has regressed", bytes, byteBound)
+	}
+}
+
 // TestAmbigWalkAllocBound pins the hash-consed ambiguity walk: stacks
 // are nodes of a per-walk arena, configurations are pairs of node ids,
 // and extensions share a token trie, so lua's two walks (a GL040

@@ -548,14 +548,21 @@ func collectMetrics(quick bool, workers int, gf *cliguard.Flags) (benchMetrics, 
 	}
 	err := driver.Run(ctx, len(entries), driver.Options{Workers: workers, Policy: policy}, func(ctx context.Context, gi int, _ *obs.Recorder) error {
 		e := entries[gi]
-		g := grammars.MustLoad(e.Name)
 		// The document measures the DP pipeline, so the fingerprint is
 		// keyed on the "dp" method — matching what a lalrd /v1/analyze
 		// of the same source would compute.
 		fp := cache.Fingerprint(e.Src, "dp")
 
-		// One instrumented end-to-end run: LR(0) → DP → tables → packing.
+		// One instrumented end-to-end run: read → LR(0) → DP → tables →
+		// packing.  The read is lalrd's grammar-load span.
 		rec := obs.New()
+		sp := rec.Start("grammar-load")
+		g, err := grammar.Parse(e.Name+".y", e.Src)
+		sp.End()
+		if err != nil {
+			doc.Grammars[gi] = grammarMetrics{Grammar: e.Name, Fingerprint: fp, Error: err.Error()}
+			return err
+		}
 		bud := guard.New(ctx, gf.Limits(), rec)
 		bud.SetOwner(g.Name())
 		pr, err := pipeline.Build(g, pipeline.Tables, rec, bud)

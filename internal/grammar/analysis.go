@@ -228,6 +228,7 @@ func (g *Grammar) everyRhsHolds(term bool) []bool {
 			mark(int32(i))
 		}
 	}
+	//guardloop:ok mark pushes each nonterminal at most once
 	for len(work) > 0 {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]

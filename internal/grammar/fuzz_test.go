@@ -1,9 +1,13 @@
 package grammar
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // FuzzParse drives the grammar reader with arbitrary bytes: it must
-// return a grammar or an error, never panic.  (Seed corpus below runs
+// return a grammar or an error, never panic, and the same grammar or
+// error text as the old reader (readoracle_test.go).  (Seed corpus below runs
 // on every `go test`; `go test -fuzz=FuzzParse` explores further.)
 func FuzzParse(f *testing.F) {
 	seeds := []string{
@@ -22,14 +26,23 @@ func FuzzParse(f *testing.F) {
 		"'",
 		"/*",
 		"%%\ns : '\\q' ;",
+		"%%\ns : a 'x' a : 'y' b b : %empty",
+		"%left '+'\n%%\ns : s '+' s | 'n' %prec '+' ;",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		g, err := Parse("fuzz.y", src)
+		og, oerr := oracleParse("fuzz.y", src)
+		if (err == nil) != (oerr == nil) || err != nil && err.Error() != oerr.Error() {
+			t.Fatalf("error %v, old reader %v", err, oerr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(g, og) {
+			t.Fatalf("grammar differs from the old reader's:\n%s\nwant\n%s", g, og)
 		}
 		// Anything that parses must also survive the downstream
 		// analyses and serialise/re-parse.

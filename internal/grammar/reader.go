@@ -3,6 +3,7 @@ package grammar
 import (
 	"fmt"
 	"path"
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -29,17 +30,11 @@ import (
 // strictness.  filename names the grammar (see NameOf) and appears in
 // error messages.
 func Parse(filename, src string) (*Grammar, error) {
-	p := &reader{
-		sc:    scanner{file: filename, src: src, line: 1},
-		b:     NewBuilder(NameOf(filename)),
-		decl:  map[string]bool{},
-		lhs:   map[string]bool{},
-		alias: map[string]string{},
-	}
+	p := reader{sc: scanner{file: filename, src: src, line: 1}, Builder: NewBuilder(NameOf(filename))}
 	if err := p.run(); err != nil {
 		return nil, err
 	}
-	return p.b.Build()
+	return p.Build()
 }
 
 // NameOf is the grammar name Parse gives a grammar read from filename:
@@ -92,48 +87,59 @@ func (s *scanner) errf(line int, format string, args ...any) error {
 	return fmt.Errorf("%s:%d: %s", s.file, line, fmt.Sprintf(format, args...))
 }
 
+// next skips blanks, comments and %{ … %} prologue blocks and returns
+// the token after them.  Each of the scanner's loops consumes at least
+// one byte per step, so none runs longer than the input; a case that
+// consumes several bytes leaves pos on the last of them for the step.
 func (s *scanner) next() (token, error) {
-	for {
-		if s.pos >= len(s.src) {
-			return token{kind: tEOF, line: s.line}, nil
-		}
-		c := s.src[s.pos]
-		switch {
+	for ; s.pos < len(s.src); s.pos++ {
+		switch c := s.src[s.pos]; {
 		case c == '\n':
 			s.line++
-			s.pos++
 		case c == ' ' || c == '\t' || c == '\r':
-			s.pos++
-		case c == '#':
-			s.skipLine()
-		case c == '/' && s.pos+1 < len(s.src) && s.src[s.pos+1] == '/':
-			s.skipLine()
-		case c == '/' && s.pos+1 < len(s.src) && s.src[s.pos+1] == '*':
-			start := s.line
-			s.pos += 2
-			for {
-				if s.pos+1 >= len(s.src) {
-					return token{}, s.errf(start, "unterminated /* comment")
-				}
-				if s.src[s.pos] == '*' && s.src[s.pos+1] == '/' {
-					s.pos += 2
-					break
-				}
-				if s.src[s.pos] == '\n' {
-					s.line++
-				}
-				s.pos++
+		case c == '#' || s.at("//"):
+			s.toLineEnd()
+		case s.at("/*"):
+			if !s.skipTo("*/") {
+				return token{}, s.errf(s.line, "unterminated /* comment")
+			}
+		case s.at("%{"):
+			// %{ … %} prologue block (bison): skipped entirely.
+			if !s.skipTo("%}") {
+				return token{}, s.errf(s.line, "unterminated %%{ block")
 			}
 		default:
 			return s.token()
 		}
 	}
+	return token{kind: tEOF, line: s.line}, nil
 }
 
-func (s *scanner) skipLine() {
-	for s.pos < len(s.src) && s.src[s.pos] != '\n' {
-		s.pos++
+func (s *scanner) at(prefix string) bool { return strings.HasPrefix(s.src[s.pos:], prefix) }
+
+// toLineEnd moves onto the newline that ends the current line, counting
+// it, or onto the last byte of input.
+func (s *scanner) toLineEnd() {
+	if i := strings.IndexByte(s.src[s.pos:], '\n'); i >= 0 {
+		s.pos += i
+		s.line++
+	} else {
+		s.pos = len(s.src) - 1
 	}
+}
+
+// skipTo moves from the two-byte opener at pos onto the last byte of the
+// first end after it, counting newlines; it reports false, moving
+// nothing, if there is none.
+func (s *scanner) skipTo(end string) bool {
+	i := strings.Index(s.src[s.pos+2:], end)
+	if i < 0 {
+		return false
+	}
+	last := s.pos + 2 + i + len(end) - 1
+	s.line += strings.Count(s.src[s.pos:last], "\n")
+	s.pos = last
+	return true
 }
 
 func (s *scanner) token() (token, error) {
@@ -150,70 +156,20 @@ func (s *scanner) token() (token, error) {
 		s.pos++
 		return token{kind: tSemi, line: line}, nil
 	case c == '\'':
-		s.pos++
-		start := s.pos
-		var buf strings.Builder
-		for {
-			if s.pos >= len(s.src) || s.src[s.pos] == '\n' {
-				return token{}, s.errf(line, "unterminated character literal")
-			}
-			if s.src[s.pos] == '\'' {
-				break
-			}
-			if s.src[s.pos] == '\\' && s.pos+1 < len(s.src) {
-				s.pos++
-				switch s.src[s.pos] {
-				case 'n':
-					buf.WriteByte('\n')
-				case 't':
-					buf.WriteByte('\t')
-				case '\\', '\'':
-					buf.WriteByte(s.src[s.pos])
-				default:
-					return token{}, s.errf(line, "unknown escape \\%c in literal", s.src[s.pos])
-				}
-				s.pos++
-				continue
-			}
-			buf.WriteByte(s.src[s.pos])
-			s.pos++
-		}
-		s.pos++
-		if buf.Len() == 0 && s.pos-start == 1 {
-			return token{}, s.errf(line, "empty character literal")
-		}
-		return token{kind: tLit, text: "'" + buf.String() + "'", line: line}, nil
+		return s.literal()
 	case c == '%':
-		if s.pos+1 < len(s.src) && s.src[s.pos+1] == '%' {
+		if s.at("%%") {
 			s.pos += 2
 			return token{kind: tMark, line: line}, nil
 		}
-		if s.pos+1 < len(s.src) && s.src[s.pos+1] == '{' {
-			// %{ … %} prologue block (bison): skipped entirely.
-			s.pos += 2
-			for {
-				if s.pos+1 >= len(s.src) {
-					return token{}, s.errf(line, "unterminated %%{ block")
-				}
-				if s.src[s.pos] == '%' && s.src[s.pos+1] == '}' {
-					s.pos += 2
-					return s.next()
-				}
-				if s.src[s.pos] == '\n' {
-					s.line++
-				}
-				s.pos++
-			}
+		end := s.pos + 1
+		for ; end < len(s.src) && (isIdentChar(rune(s.src[end])) || s.src[end] == '-'); end++ {
 		}
-		s.pos++
-		start := s.pos
-		for s.pos < len(s.src) && (isIdentChar(rune(s.src[s.pos])) || s.src[s.pos] == '-') {
-			s.pos++
-		}
-		if s.pos == start {
+		if end == s.pos+1 {
 			return token{}, s.errf(line, "stray %%")
 		}
-		kw := "%" + s.src[start:s.pos]
+		kw := s.src[s.pos:end]
+		s.pos = end
 		switch kw {
 		case "%token", "%left", "%right", "%nonassoc", "%start", "%prec", "%empty", "%precedence",
 			"%type", "%union", "%expect", "%define", "%debug", "%verbose", "%locations",
@@ -222,89 +178,37 @@ func (s *scanner) token() (token, error) {
 		}
 		return token{}, s.errf(line, "unknown directive %s", kw)
 	case c == '"':
-		s.pos++
-		start := s.pos
-		for s.pos < len(s.src) && s.src[s.pos] != '"' && s.src[s.pos] != '\n' {
-			if s.src[s.pos] == '\\' {
-				s.pos++
+		end := s.pos + 1
+		for ; end < len(s.src) && s.src[end] != '"' && s.src[end] != '\n'; end++ {
+			if s.src[end] == '\\' {
+				end++
 			}
-			s.pos++
 		}
-		if s.pos >= len(s.src) || s.src[s.pos] != '"' {
+		if end >= len(s.src) || s.src[end] != '"' {
 			return token{}, s.errf(line, "unterminated string")
 		}
-		text := s.src[start:s.pos]
-		s.pos++
+		text := s.src[s.pos+1 : end]
+		s.pos = end + 1
 		return token{kind: tString, text: text, line: line}, nil
 	case c == '<':
-		start := s.pos
-		for s.pos < len(s.src) && s.src[s.pos] != '>' && s.src[s.pos] != '\n' {
-			s.pos++
+		end := s.pos + 1
+		for ; end < len(s.src) && s.src[end] != '>' && s.src[end] != '\n'; end++ {
 		}
-		if s.pos >= len(s.src) || s.src[s.pos] != '>' {
+		if end >= len(s.src) || s.src[end] != '>' {
 			// Not a tag after all; report the '<' itself.
-			s.pos = start
 			return token{}, s.errf(line, "unexpected character '<'")
 		}
-		s.pos++
+		s.pos = end + 1
 		return token{kind: tTag, line: line}, nil
 	case c == '{':
-		// Balanced-brace semantic action, respecting strings, character
-		// literals and comments inside.
-		depth := 0
-		for s.pos < len(s.src) {
-			switch s.src[s.pos] {
-			case '{':
-				depth++
-				s.pos++
-			case '}':
-				depth--
-				s.pos++
-				if depth == 0 {
-					return token{kind: tAction, line: line}, nil
-				}
-			case '\n':
-				s.line++
-				s.pos++
-			case '\'', '"':
-				q := s.src[s.pos]
-				s.pos++
-				for s.pos < len(s.src) && s.src[s.pos] != q {
-					if s.src[s.pos] == '\\' {
-						s.pos++
-					}
-					if s.pos < len(s.src) && s.src[s.pos] == '\n' {
-						s.line++
-					}
-					s.pos++
-				}
-				s.pos++
-			case '/':
-				if s.pos+1 < len(s.src) && s.src[s.pos+1] == '/' {
-					s.skipLine()
-				} else if s.pos+1 < len(s.src) && s.src[s.pos+1] == '*' {
-					s.pos += 2
-					for s.pos+1 < len(s.src) && !(s.src[s.pos] == '*' && s.src[s.pos+1] == '/') {
-						if s.src[s.pos] == '\n' {
-							s.line++
-						}
-						s.pos++
-					}
-					s.pos += 2
-				} else {
-					s.pos++
-				}
-			default:
-				s.pos++
-			}
-		}
-		return token{}, s.errf(line, "unterminated { action")
+		return s.action()
 	case c >= '0' && c <= '9':
-		start := s.pos
-		for s.pos < len(s.src) && s.src[s.pos] >= '0' && s.src[s.pos] <= '9' {
-			s.pos++
+		end := s.pos
+		for ; end < len(s.src) && s.src[end] >= '0' && s.src[end] <= '9'; end++ {
 		}
-		return token{kind: tNumber, text: s.src[start:s.pos], line: line}, nil
+		text := s.src[s.pos:end]
+		s.pos = end
+		return token{kind: tNumber, text: text, line: line}, nil
 	default:
 		// Identifiers are decoded as UTF-8; an invalid encoding (or any
 		// other unexpected rune) is an error, never an empty token — an
@@ -313,16 +217,97 @@ func (s *scanner) token() (token, error) {
 		if r == utf8.RuneError || !isIdentStart(r) {
 			return token{}, s.errf(line, "unexpected character %q", c)
 		}
-		start := s.pos
-		for s.pos < len(s.src) {
-			r, sz := utf8.DecodeRuneInString(s.src[s.pos:])
+		end := s.pos
+		for n := 0; end < len(s.src); end += n {
+			r, n = utf8.DecodeRuneInString(s.src[end:])
 			if r == utf8.RuneError || !isIdentChar(r) {
 				break
 			}
-			s.pos += sz
 		}
-		return token{kind: tIdent, text: s.src[start:s.pos], line: line}, nil
+		text := s.src[s.pos:end]
+		s.pos = end
+		return token{kind: tIdent, text: text, line: line}, nil
 	}
+}
+
+// literal scans a quoted terminal such as '+' or '=='.  Its text keeps
+// the quotes, and is a slice of the source unless an escape needed
+// decoding.
+func (s *scanner) literal() (token, error) {
+	line := s.line
+	start := s.pos + 1
+	var buf []byte // the decoded contents, once an escape is seen
+	escaped := false
+	for i := start; ; i++ {
+		if i >= len(s.src) || s.src[i] == '\n' {
+			return token{}, s.errf(line, "unterminated character literal")
+		}
+		switch c := s.src[i]; {
+		case c == '\'':
+			if i == start {
+				return token{}, s.errf(line, "empty character literal")
+			}
+			s.pos = i + 1
+			text := s.src[start-1 : s.pos]
+			if escaped {
+				text = "'" + string(buf) + "'"
+			}
+			return token{kind: tLit, text: text, line: line}, nil
+		case c == '\\' && i+1 < len(s.src):
+			if !escaped {
+				buf, escaped = []byte(s.src[start:i]), true
+			}
+			i++
+			switch e := s.src[i]; e {
+			case 'n':
+				buf = append(buf, '\n')
+			case 't':
+				buf = append(buf, '\t')
+			case '\\', '\'':
+				buf = append(buf, e)
+			default:
+				return token{}, s.errf(line, "unknown escape \\%c in literal", e)
+			}
+		case escaped:
+			buf = append(buf, c)
+		}
+	}
+}
+
+// action skips a balanced-brace semantic action, respecting strings,
+// character literals and comments inside.
+func (s *scanner) action() (token, error) {
+	line := s.line
+	for depth := 0; s.pos < len(s.src); s.pos++ {
+		switch s.src[s.pos] {
+		case '{':
+			depth++
+		case '}':
+			if depth--; depth == 0 {
+				s.pos++
+				return token{kind: tAction, line: line}, nil
+			}
+		case '\n':
+			s.line++
+		case '\'', '"':
+			q := s.src[s.pos]
+			for s.pos++; s.pos < len(s.src) && s.src[s.pos] != q; s.pos++ {
+				if s.src[s.pos] == '\\' {
+					s.pos++
+				}
+				if s.pos < len(s.src) && s.src[s.pos] == '\n' {
+					s.line++
+				}
+			}
+		case '/':
+			if s.at("//") {
+				s.toLineEnd()
+			} else if s.at("/*") && !s.skipTo("*/") {
+				s.pos = len(s.src)
+			}
+		}
+	}
+	return token{}, s.errf(line, "unterminated { action")
 }
 
 func isIdentStart(r rune) bool {
@@ -333,261 +318,224 @@ func isIdentChar(r rune) bool {
 	return isIdentStart(r) || unicode.IsDigit(r)
 }
 
+// reader reads a grammar's text straight into a Builder: names are
+// interned as they are read and right-hand sides appended to its arena.
+// Each of its loops reads a token per step.
 type reader struct {
-	sc   scanner
-	b    *Builder
-	decl map[string]bool // names declared as terminals (or literal-quoted)
-	lhs  map[string]bool
+	sc scanner
+	*Builder
 	// alias maps bison string-token aliases ("+", "if") to the declared
 	// terminal they stand for.
-	alias map[string]string
-	// deferred RHS symbol checks: bare identifiers must end up declared
-	// or defined as an LHS.
-	uses []symUse
-}
-
-type symUse struct {
-	name string
-	line int
+	alias map[string]Sym
 }
 
 func (p *reader) run() error {
-	tok, err := p.sc.next()
-	if err != nil {
-		return err
-	}
 	// Declarations section.
-	for tok.kind != tMark {
-		if tok.kind == tEOF {
-			return p.sc.errf(tok.line, "missing %%%% separator before rules")
-		}
-		if tok.kind != tKeyword {
-			return p.sc.errf(tok.line, "expected declaration, got %s", tokDesc(tok))
-		}
-		switch tok.text {
-		case "%token":
-			tok, err = p.declTerminals(func(name string) { p.b.Terminal(name) })
-		case "%left":
-			tok, err = p.declPrec(AssocLeft)
-		case "%right":
-			tok, err = p.declPrec(AssocRight)
-		case "%nonassoc":
-			tok, err = p.declPrec(AssocNonassoc)
-		case "%precedence":
-			tok, err = p.declPrec(AssocNone)
-		case "%start":
-			tok, err = p.sc.next()
-			if err == nil {
-				if tok.kind != tIdent {
-					return p.sc.errf(tok.line, "%%start requires a nonterminal name")
-				}
-				p.b.Start(tok.text)
-				tok, err = p.sc.next()
-			}
-		case "%type", "%define", "%parse-param", "%lex-param":
-			// Bison declarations irrelevant to grammar analysis: skip
-			// their arguments.
-			tok, err = p.skipArgs()
-		case "%union":
-			tok, err = p.sc.next()
-			if err == nil {
-				if tok.kind != tAction {
-					return p.sc.errf(tok.line, "%%union requires a { ... } block")
-				}
-				tok, err = p.sc.next()
-			}
-		case "%expect", "%expect-rr":
-			kw := tok.text
-			tok, err = p.sc.next()
-			if err == nil {
-				if tok.kind != tNumber {
-					return p.sc.errf(tok.line, "%s requires a number", kw)
-				}
-				n := 0
-				for _, c := range tok.text {
-					n = n*10 + int(c-'0')
-				}
-				if kw == "%expect" {
-					p.b.ExpectSR(n)
-				} else {
-					p.b.ExpectRR(n)
-				}
-				tok, err = p.sc.next()
-			}
-		case "%debug", "%verbose", "%locations", "%pure-parser", "%defines":
-			tok, err = p.sc.next()
-		default:
-			return p.sc.errf(tok.line, "directive %s not allowed in declarations", tok.text)
-		}
+	for tok, err := p.sc.next(); ; tok, err = p.directive(tok) {
 		if err != nil {
 			return err
 		}
+		if tok.kind == tMark {
+			break
+		}
 	}
-
 	// Rules section.
-	tok, err = p.sc.next()
-	if err != nil {
-		return err
-	}
-	for tok.kind != tEOF && tok.kind != tMark {
-		if tok.kind != tIdent {
-			return p.sc.errf(tok.line, "expected rule left-hand side, got %s", tokDesc(tok))
-		}
-		lhs := tok.text
-		if p.decl[lhs] {
-			return p.sc.errf(tok.line, "%q declared as a terminal but used as a rule left-hand side", lhs)
-		}
-		p.lhs[lhs] = true
-		tok, err = p.sc.next()
+	for tok, err := p.sc.next(); ; tok, err = p.readRule(tok) {
 		if err != nil {
 			return err
 		}
-		if tok.kind != tColon {
-			return p.sc.errf(tok.line, "expected ':' after %q, got %s", lhs, tokDesc(tok))
-		}
-		tok, err = p.rules(lhs)
-		if err != nil {
-			return err
+		if tok.kind == tEOF || tok.kind == tMark {
+			break
 		}
 	}
-
-	for _, u := range p.uses {
-		if !p.decl[u.name] && !p.lhs[u.name] {
-			return p.sc.errf(u.line, "symbol %q is neither a declared terminal nor defined by a rule", u.name)
+	// Bare identifiers must end up declared or defined as a left-hand
+	// side.  Names are interned in order of first sight, which for such a
+	// name is its first use, so the first one reported is the earliest.
+	for _, e := range p.syms {
+		if e.use != 0 && e.flags == 0 {
+			return p.sc.errf(int(e.use), "symbol %q is neither a declared terminal nor defined by a rule", e.name)
 		}
 	}
 	return nil
 }
 
-func (p *reader) declTerminals(declare func(string)) (token, error) {
-	n := 0
-	last := ""
-	for {
-		tok, err := p.sc.next()
+// directive reads the declaration tok starts and returns the token
+// after it.
+func (p *reader) directive(tok token) (token, error) {
+	if tok.kind == tEOF {
+		return tok, p.sc.errf(tok.line, "missing %%%% separator before rules")
+	}
+	if tok.kind != tKeyword {
+		return tok, p.sc.errf(tok.line, "expected declaration, got %s", tokDesc(tok))
+	}
+	switch tok.text {
+	case "%token":
+		return p.terminals(false, AssocNone)
+	case "%left":
+		return p.terminals(true, AssocLeft)
+	case "%right":
+		return p.terminals(true, AssocRight)
+	case "%nonassoc":
+		return p.terminals(true, AssocNonassoc)
+	case "%precedence":
+		return p.terminals(true, AssocNone)
+	case "%start":
+		arg, err := p.arg("%start requires a nonterminal name", tIdent)
+		if err != nil {
+			return arg, err
+		}
+		p.startName = arg.text
+	case "%type", "%define", "%parse-param", "%lex-param":
+		// Bison declarations irrelevant to grammar analysis: skip their
+		// arguments, up to the first structural token.
+		for tok, err := p.sc.next(); ; tok, err = p.sc.next() {
+			switch {
+			case err != nil:
+				return tok, err
+			case tok.kind != tIdent && tok.kind != tTag && tok.kind != tString &&
+				tok.kind != tNumber && tok.kind != tLit && tok.kind != tAction:
+				return tok, nil
+			}
+		}
+	case "%union":
+		if arg, err := p.arg("%union requires a { ... } block", tAction); err != nil {
+			return arg, err
+		}
+	case "%expect", "%expect-rr":
+		arg, err := p.arg(tok.text+" requires a number", tNumber)
+		if err != nil {
+			return arg, err
+		}
+		n := 0
+		for _, c := range arg.text {
+			n = n*10 + int(c-'0')
+		}
+		if tok.text == "%expect" {
+			p.expectSR = n
+		} else {
+			p.expectRR = n
+		}
+	case "%debug", "%verbose", "%locations", "%pure-parser", "%defines":
+	default:
+		return tok, p.sc.errf(tok.line, "directive %s not allowed in declarations", tok.text)
+	}
+	return p.sc.next()
+}
+
+// arg reads a directive's argument, which must be of one of the kinds
+// k; what is the error if it is not.
+func (p *reader) arg(what string, k ...tokKind) (token, error) {
+	tok, err := p.sc.next()
+	if err == nil && !slices.Contains(k, tok.kind) {
+		err = p.sc.errf(tok.line, "%s", what)
+	}
+	return tok, err
+}
+
+// terminals reads the names a %token (prec false) or precedence
+// declaration declares and returns the token after them.
+func (p *reader) terminals(prec bool, assoc Assoc) (token, error) {
+	if prec {
+		p.precLevel++
+	}
+	last := NoSym
+	for tok, err := p.sc.next(); ; tok, err = p.sc.next() {
 		if err != nil {
 			return tok, err
 		}
 		switch tok.kind {
 		case tIdent, tLit:
-			declare(tok.text)
-			p.decl[tok.text] = true
-			last = tok.text
-		case tTag:
-			continue // %token <tag> NAME: type tags carry no grammar info
+			last = p.intern(tok.text)
+			if prec {
+				p.setPrec(last, assoc)
+			} else {
+				p.syms[last].flags |= declared
+			}
 		case tString:
 			// Bison string alias: %token PLUS "+".
-			if last == "" {
+			if last == NoSym {
 				return tok, p.sc.errf(tok.line, "string alias %q has no preceding terminal", tok.text)
 			}
+			if p.alias == nil {
+				p.alias = map[string]Sym{}
+			}
 			p.alias[tok.text] = last
-			continue
-		case tNumber:
-			continue // %token NAME 258: explicit kind values are ignored
+		case tTag, tNumber:
+			// %token <tag> NAME 258: type tags and explicit kind values
+			// carry no grammar information.
 		default:
-			if n == 0 {
+			if last == NoSym {
 				return tok, p.sc.errf(tok.line, "declaration lists at least one terminal")
 			}
 			return tok, nil
 		}
-		n++
 	}
 }
 
-// skipArgs consumes declaration arguments (identifiers, tags, strings,
-// numbers, literals, { } blocks) and returns the first structural token.
-func (p *reader) skipArgs() (token, error) {
-	for {
-		tok, err := p.sc.next()
-		if err != nil {
-			return tok, err
-		}
-		switch tok.kind {
-		case tIdent, tTag, tString, tNumber, tLit, tAction:
-			continue
-		default:
-			return tok, nil
-		}
+// readRule reads the rule whose left-hand side is tok, and the rules
+// that follow it without a closing ';', and returns the token after
+// them.
+func (p *reader) readRule(tok token) (token, error) {
+	if tok.kind != tIdent {
+		return tok, p.sc.errf(tok.line, "expected rule left-hand side, got %s", tokDesc(tok))
 	}
-}
-
-func (p *reader) declPrec(assoc Assoc) (token, error) {
-	var names []string
-	tok, err := p.declTerminals(func(name string) { names = append(names, name) })
+	lhs := p.intern(tok.text)
+	if err := p.define(lhs, tok.line); err != nil {
+		return tok, err
+	}
+	tok, err := p.sc.next()
 	if err != nil {
 		return tok, err
 	}
-	p.b.Precedence(assoc, names...)
-	return tok, nil
-}
-
-// rules parses the alternatives of one rule after the ':'; it returns the
-// first token following the rule.
-func (p *reader) rules(lhs string) (token, error) {
-	var rhs []string
-	precName := ""
-	sawEmpty := false
-	emit := func() {
-		if precName != "" {
-			p.b.RuleWithPrec(lhs, precName, rhs...)
-		} else {
-			p.b.Rule(lhs, rhs...)
-		}
-		rhs = nil
-		precName = ""
-		sawEmpty = false
+	if tok.kind != tColon {
+		return tok, p.sc.errf(tok.line, "expected ':' after %q, got %s", p.syms[lhs].name, tokDesc(tok))
 	}
-	for {
-		tok, err := p.sc.next()
+	// The alternative being read is lhs → arena[lo:].
+	lo, prec, sawEmpty := len(p.arena), NoSym, false
+	emit := func() {
+		p.rules = append(p.rules, rule{lhs: lhs, prec: prec, end: int32(len(p.arena))})
+		lo, prec, sawEmpty = len(p.arena), NoSym, false
+	}
+	for tok, err := p.sc.next(); ; tok, err = p.sc.next() {
 		if err != nil {
 			return tok, err
 		}
 		switch tok.kind {
-		case tIdent:
+		case tIdent, tLit:
 			if sawEmpty {
 				return tok, p.sc.errf(tok.line, "%%empty alternative must be empty")
 			}
-			if tok.text == "error" {
+			s := p.intern(tok.text)
+			if tok.kind == tLit || tok.text == "error" {
 				// yacc's reserved error-recovery terminal needs no
 				// declaration.
-				p.decl[tok.text] = true
-				p.b.Terminal(tok.text)
+				p.syms[s].flags |= declared
 			} else {
-				p.uses = append(p.uses, symUse{tok.text, tok.line})
+				p.used(s, tok.line)
 			}
-			rhs = append(rhs, tok.text)
-		case tLit:
-			if sawEmpty {
-				return tok, p.sc.errf(tok.line, "%%empty alternative must be empty")
-			}
-			p.decl[tok.text] = true
-			p.b.Terminal(tok.text)
-			rhs = append(rhs, tok.text)
+			p.arena = append(p.arena, s)
 		case tString:
-			name, ok := p.alias[tok.text]
+			s, ok := p.alias[tok.text]
 			if !ok {
 				return tok, p.sc.errf(tok.line, "string token %q was never declared as an alias", tok.text)
 			}
-			rhs = append(rhs, name)
+			p.arena = append(p.arena, s)
 		case tAction:
 			// Semantic actions carry no grammar structure.  (Mid-rule
 			// actions technically introduce an anonymous ε-nonterminal in
 			// bison; for look-ahead analysis the flattened rule is the
 			// conventional approximation.)
-			continue
 		case tKeyword:
 			switch tok.text {
 			case "%prec":
-				nt, err := p.sc.next()
+				arg, err := p.arg("%prec requires a terminal name", tIdent, tLit)
 				if err != nil {
-					return nt, err
+					return arg, err
 				}
-				if nt.kind != tIdent && nt.kind != tLit {
-					return nt, p.sc.errf(nt.line, "%%prec requires a terminal name")
-				}
-				p.uses = append(p.uses, symUse{nt.text, nt.line})
-				precName = nt.text
+				prec = p.intern(arg.text)
+				p.used(prec, arg.line)
 			case "%empty":
-				if len(rhs) > 0 {
+				if len(p.arena) > lo {
 					return tok, p.sc.errf(tok.line, "%%empty alternative must be empty")
 				}
 				sawEmpty = true
@@ -602,23 +550,38 @@ func (p *reader) rules(lhs string) (token, error) {
 		case tEOF, tMark:
 			emit()
 			return tok, nil
-		default:
-			return tok, p.sc.errf(tok.line, "unexpected %s in rule", tokDesc(tok))
 		case tColon:
 			// "name : ..." starts the next rule; the previous rule had no
-			// terminating ';'.  The just-consumed identifier is the new LHS.
-			if len(rhs) == 0 {
+			// terminating ';'.  The symbol just read is the new LHS.
+			if len(p.arena) == lo {
 				return tok, p.sc.errf(tok.line, "unexpected ':'")
 			}
-			newLhs := rhs[len(rhs)-1]
-			rhs = rhs[:len(rhs)-1]
+			next := p.arena[len(p.arena)-1]
+			p.arena = p.arena[:len(p.arena)-1]
 			emit()
-			if p.decl[newLhs] {
-				return tok, p.sc.errf(tok.line, "%q declared as a terminal but used as a rule left-hand side", newLhs)
+			if err := p.define(next, tok.line); err != nil {
+				return tok, err
 			}
-			p.lhs[newLhs] = true
-			return p.rules(newLhs)
+			lhs = next
+		default:
+			return tok, p.sc.errf(tok.line, "unexpected %s in rule", tokDesc(tok))
 		}
+	}
+}
+
+// define makes s the left-hand side of a rule.
+func (p *reader) define(s Sym, line int) error {
+	if p.syms[s].flags&declared != 0 {
+		return p.sc.errf(line, "%q declared as a terminal but used as a rule left-hand side", p.syms[s].name)
+	}
+	p.syms[s].flags |= defined
+	return nil
+}
+
+// used records a right-hand-side or %prec use of s on line.
+func (p *reader) used(s Sym, line int) {
+	if p.syms[s].use == 0 {
+		p.syms[s].use = int32(line)
 	}
 }
 

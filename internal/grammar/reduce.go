@@ -59,6 +59,7 @@ func CheckUseful(g *Grammar) *Usefulness {
 	u.Reachable[g.Accept()] = true
 	u.Reachable[EOF] = true
 	work := []Sym{g.Accept()}
+	//guardloop:ok a nonterminal is pushed once, when it first becomes reachable
 	for len(work) > 0 {
 		a := work[len(work)-1]
 		work = work[:len(work)-1]

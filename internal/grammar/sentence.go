@@ -32,6 +32,7 @@ func NewSentenceGenerator(g *Grammar) (*SentenceGenerator, error) {
 		sg.minHeight[i] = inf
 		sg.shortest[i] = -1
 	}
+	//guardloop:ok each pass but the last lowers a minHeight; one falls at most NumNonterminals+1 times
 	for changed := true; changed; {
 		changed = false
 		for pi := range g.prods {

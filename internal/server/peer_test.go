@@ -327,17 +327,20 @@ func TestClusterPeerFill(t *testing.T) {
 		},
 		nil)
 	a, b := nodes[0], nodes[1]
-	src, fp := grammarOwnedBy(t, a.cl, b.url)
+	src, _ := grammarOwnedBy(t, a.cl, b.url)
 
 	resp1, body1 := post(t, a.ts, "/v1/analyze", AnalyzeRequest{Grammar: src})
 	if resp1.StatusCode != http.StatusOK || resp1.Header.Get("X-Repro-Cache") != "miss" {
 		t.Fatalf("first request: status %d outcome %q, want 200 miss",
 			resp1.StatusCode, resp1.Header.Get("X-Repro-Cache"))
 	}
-	// The offer to the owner is async; wait for it to land.
+	// The offer to the owner is async; wait for it to land.  The owner
+	// counts an accepted offer only after the record is stored, so the
+	// counter, not the record, is what the wait polls: a record seen
+	// before its count would fail the counter assertion below.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if resp, _ := get(t, b.ts, "/v1/peer/table/"+fp); resp.StatusCode == http.StatusOK {
+		if metricz(t, b.ts).Counters["peer_offers_accepted"] >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
